@@ -26,9 +26,9 @@ Benchmarks
   of the plain run (structural absence) and keep the 3x stream floor;
   the probes-on overhead is recorded for the trajectory.
 * ``bench_trace`` -- the same contract for the span tracer: trace-off
-  must stay within 2% of the plain run (the stage hooks are
-  structurally absent when no probe wants them) and keep the 3x
-  stream floor; the trace-on overhead and span count are recorded.
+  must stay within 2% of the plain run (a probe-free DQM keeps its
+  plain dispatch/finalize pair) and keep the 3x stream floor; the
+  trace-on overhead and span count are recorded.
 * ``bench_monitor`` -- the same contract for the operational monitoring
   layer (``repro.monitor``): with monitoring disabled the full-budget
   Table 5 stream run must stay within 2% of the plain run and
@@ -77,8 +77,8 @@ TABLE5_STREAM_SPEEDUP_FLOOR = 3.0
 #: regression) -- and the 3x stream floor above must still hold.
 TELEMETRY_OFF_OVERHEAD_CEILING = 0.02
 
-#: Same contract for the span tracer: the stage-transition hooks are
-#: structurally absent when no probe asks for them, so a trace-off run
+#: Same contract for the span tracer: observer call sites are
+#: structurally absent when no probe is installed, so a trace-off run
 #: must stay within this fraction of the plain run.
 TRACE_OFF_OVERHEAD_CEILING = 0.02
 
@@ -320,33 +320,35 @@ def bench_telemetry(quick: bool, repeats: int, table5: dict) -> dict:
 
 
 def _assert_stage_hooks_structurally_absent() -> None:
-    """The tracer's structural-absence check.
+    """The observers' structural-absence check.
 
-    The DQM has three dispatch/finalize variant pairs -- plain, probed,
-    traced -- and picks once at construction time: a telemetry-only
-    probe must get the *probed* pair (no stage bookkeeping), a probe
-    with ``wants_stages`` must get the *traced* pair.  A per-command
-    ``if wants_stages`` creeping into the probed path would pass any
-    timing comparison -- this assertion is what fails instead.
+    The DQM has two dispatch/finalize variant pairs -- plain and probed
+    -- and picks once at construction time: a plain ``MMS`` must keep
+    the plain pair (no observer call sites at all), and any probe --
+    telemetry, tracer, or both chained -- must get the probed pair,
+    which builds the one completion record every observer folds.  A
+    per-command ``if probe`` creeping into the plain path, or a third
+    variant per observer kind, would pass any timing comparison -- this
+    assertion is what fails instead.
     """
     from repro.core.dqm import DataQueueManager
     from repro.core.mms import MMS, MmsConfig
-    from repro.telemetry import MmsTelemetry
+    from repro.telemetry import MmsTelemetry, ProbeChain
     from repro.trace import TraceCollector, TraceSpec
 
     cfg = MmsConfig(num_flows=16, num_segments=64, num_descriptors=64)
-    probed = MMS(cfg, probe=MmsTelemetry())
-    if probed.dqm._dispatch.__func__ \
-            is not DataQueueManager._dispatch_probed:
-        raise SystemExit(
-            "bench_trace: telemetry-only DQM took the traced dispatch path")
-    traced = MMS(cfg, probe=TraceCollector(TraceSpec()))
-    if traced.dqm._dispatch.__func__ \
-            is not DataQueueManager._dispatch_traced or \
-            traced.dqm._finalize.__func__ \
-            is not DataQueueManager._finalize_traced:
-        raise SystemExit(
-            "bench_trace: tracing DQM did not swap in its traced variants")
+    plain = (DataQueueManager._dispatch, DataQueueManager._finalize)
+    probed = (DataQueueManager._dispatch_probed,
+              DataQueueManager._finalize_probed)
+    both = ProbeChain([MmsTelemetry(), TraceCollector(TraceSpec())])
+    for probe, want in ((None, plain), (MmsTelemetry(), probed),
+                        (TraceCollector(TraceSpec()), probed),
+                        (both, probed)):
+        dqm = MMS(cfg, probe=probe).dqm
+        if (dqm._dispatch.__func__, dqm._finalize.__func__) != want:
+            raise SystemExit(
+                f"bench_trace: DQM with probe {type(probe).__name__} "
+                f"took the wrong dispatch/finalize pair")
 
 
 def bench_trace(quick: bool, repeats: int, table5: dict) -> dict:
@@ -733,8 +735,8 @@ def main(argv=None) -> int:
     if trace["off_overhead"] > TRACE_OFF_OVERHEAD_CEILING:
         msg = (f"trace-off overhead {trace['off_overhead'] * 100:.1f}% "
                f"exceeds the {TRACE_OFF_OVERHEAD_CEILING * 100:.0f}% "
-               f"ceiling (stage hooks must be structurally absent when "
-               f"disabled)")
+               f"ceiling (observer call sites must be structurally absent "
+               f"when disabled)")
         if args.quick:
             print(f"WARNING: {msg} -- likely runner noise; the structural "
                   f"check passed", file=sys.stderr)

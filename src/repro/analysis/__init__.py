@@ -1,7 +1,7 @@
 """Experiment harness: paper data, rendering, CLI, legacy drivers.
 
 ``python -m repro.analysis run table1`` (or the installed
-``repro-experiments`` script) regenerates any published artifact and
+``repro-analysis`` script) regenerates any published artifact and
 prints it side-by-side with the paper's numbers.  Execution lives in
 :mod:`repro.scenarios` (declarative specs + Runner + typed results);
 this package keeps the paper's numbers (:mod:`~repro.analysis.paper_data`),

@@ -27,7 +27,7 @@ little throughput bookkeeping for robustness:
   ``<name>.heartbeat.json`` documents, both through one
   :class:`~repro.monitor.events.SweepLog` code path, so a stalled or
   crashed sweep can be diagnosed -- or watched live
-  (``repro-experiments watch``) -- from the journal directory alone;
+  (``repro-analysis watch``) -- from the journal directory alone;
 * **resource profiles** -- with ``resources=True`` each worker reports
   its rusage delta (CPU seconds, max RSS, wall) alongside its result;
   the pool folds profiles into :attr:`PoolOutcome.resources`, finish

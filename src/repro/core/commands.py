@@ -79,8 +79,8 @@ class Command:
     start_exec_ps: int = -1
     end_exec_ps: int = -1
     data_done_ps: int = -1
-    #: Dispatch index stamped by the traced DQM variants (span tracing);
-    #: -1 when tracing is off.
+    #: Dispatch index stamped by the probed DQM dispatch (the completion
+    #: record's ``seq``); -1 when no probe is installed.
     trace_seq: int = -1
     #: Optional simulation event; when set, the DQM triggers it with the
     #: command's functional result at end of execution (see

@@ -92,12 +92,8 @@ class DataQueueManager:
         #: absence, not an inert per-command branch).
         self.probe = probe
         if probe is not None:
-            if getattr(probe, "wants_stages", False):
-                self._dispatch = self._dispatch_traced  # type: ignore[assignment]
-                self._finalize = self._finalize_traced  # type: ignore[assignment]
-            else:
-                self._dispatch = self._dispatch_probed  # type: ignore[assignment]
-                self._finalize = self._finalize_probed  # type: ignore[assignment]
+            self._dispatch = self._dispatch_probed  # type: ignore[assignment]
+            self._finalize = self._finalize_probed  # type: ignore[assignment]
 
     # ----------------------------------------------------------- execute
 
@@ -106,7 +102,7 @@ class DataQueueManager:
 
         The DQM is busy for the schedule length; the data transfer (if
         any) is issued to the DMC after the first pointer access and
-        completes asynchronously.  The latency record is finalized when
+        completes asynchronously.  The completion is recorded when
         both execution and data transfer are done.
         """
         timing = (self._timing_overlap if self.overlap_data
@@ -171,31 +167,19 @@ class DataQueueManager:
 
     def _finalize_probed(self, cmd: Command, exec_cycles_f: float,
                          data_event):
-        """Telemetry variant of :meth:`_finalize`: the same record (by
-        delegation), then the probe's ``on_record`` at the delivery
-        instant."""
-        fifo_cycles, data_cycles, end_to_end_cycles, _ = \
-            yield from DataQueueManager._finalize(self, cmd, exec_cycles_f,
-                                                  data_event)
-        self.probe.on_record(self.sim.now, cmd.type, fifo_cycles,
-                             exec_cycles_f, data_cycles, end_to_end_cycles)
-
-    def _finalize_traced(self, cmd: Command, exec_cycles_f: float,
-                         data_event):
-        """Tracing variant of :meth:`_finalize`: the telemetry record,
-        then the stage bounds, both at the record-delivery instant (the
-        stream engine replays the identical calls in the identical
-        order)."""
+        """Probed variant of :meth:`_finalize`: the same breakdown
+        update (by delegation), then the command's completion record
+        (:data:`repro.telemetry.probe.CompletionRecord`) to the probe's
+        ``on_record`` at the delivery instant."""
         fifo_cycles, data_cycles, end_to_end_cycles, data_submit_ps = \
             yield from DataQueueManager._finalize(self, cmd, exec_cycles_f,
                                                   data_event)
-        probe = self.probe
-        probe.on_record(self.sim.now, cmd.type, fifo_cycles,
-                        exec_cycles_f, data_cycles, end_to_end_cycles)
         data_done_ps = cmd.data_done_ps if data_submit_ps >= 0 else -1
-        probe.on_stages(self.sim.now, cmd.trace_seq, cmd.type, cmd.flow,
-                        cmd.submit_ps, cmd.start_exec_ps, cmd.end_exec_ps,
-                        data_submit_ps, data_done_ps)
+        self.probe.on_record((
+            self.sim.now, cmd.trace_seq, cmd.type, cmd.flow,
+            cmd.submit_ps, cmd.start_exec_ps, cmd.end_exec_ps,
+            data_submit_ps, data_done_ps,
+            fifo_cycles, exec_cycles_f, data_cycles, end_to_end_cycles))
 
     # ---------------------------------------------------------- dispatch
 
@@ -255,21 +239,16 @@ class DataQueueManager:
         raise ValueError(f"unknown command type {t}")
 
     def _dispatch_probed(self, cmd: Command):
-        """Telemetry variant of :meth:`_dispatch`: the functional
-        operation, then the probe's ``on_command`` with the
-        post-dispatch occupancy (the stream engine emits the identical
-        call at the identical pop instant)."""
+        """Probed variant of :meth:`_dispatch`: stamps the dispatch
+        index first (the DQM is serial, so ``commands_executed`` at the
+        pop instant *is* the dispatch order both engines share), runs
+        the functional operation, then calls the probe's ``on_command``
+        with the post-dispatch occupancy (the stream engine emits the
+        identical call at the identical pop instant)."""
+        cmd.trace_seq = self.commands_executed
         out = DataQueueManager._dispatch(self, cmd)
         pqm = self.pqm
         self.probe.on_command(self.sim.now, cmd.type, cmd.flow, out[0],
                               pqm.queued_segments(cmd.flow),
                               pqm.num_segments - pqm.free_segments)
         return out
-
-    def _dispatch_traced(self, cmd: Command):
-        """Tracing variant of :meth:`_dispatch_probed`: stamps the
-        dispatch index first (the DQM is serial, so
-        ``commands_executed`` at the pop instant *is* the dispatch
-        order both engines share), then delegates."""
-        cmd.trace_seq = self.commands_executed
-        return DataQueueManager._dispatch_probed(self, cmd)

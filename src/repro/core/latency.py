@@ -1,38 +1,14 @@
-"""Latency decomposition records (Table 5 instrumentation).
+"""Latency decomposition (Table 5 instrumentation).
 
 "The total latency of a command consists of three parts: the FIFO delay,
-the execution latency and the data latency" (Section 6.1).  The MMS
-fills a :class:`CommandLatency` per command; :class:`LatencyBreakdown`
-aggregates them into the means Table 5 reports.
+the execution latency and the data latency" (Section 6.1).  The DQM
+hands each command's split to :meth:`LatencyBreakdown.record_parts`,
+which aggregates them into the means Table 5 reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim import Clock, LatencyRecorder
-
-
-@dataclass(frozen=True)
-class CommandLatency:
-    """One command's delay decomposition, in MMS clock cycles."""
-
-    cid: int
-    fifo_cycles: float
-    execution_cycles: float
-    data_cycles: float
-    #: True submit-to-completion latency (completion = the later of
-    #: execution end and data-transfer end).  Differs from the additive
-    #: total when pointer and data work overlap -- which is exactly what
-    #: the A5 ablation measures.
-    end_to_end_cycles: float = 0.0
-
-    @property
-    def total_cycles(self) -> float:
-        """The paper's 'Total delay per command' (FIFO + exec + data;
-        the data access overlaps execution in time but the paper reports
-        the additive decomposition)."""
-        return self.fifo_cycles + self.execution_cycles + self.data_cycles
 
 
 class LatencyBreakdown:
@@ -47,15 +23,17 @@ class LatencyBreakdown:
         self.end_to_end = LatencyRecorder("end_to_end",
                                           keep_samples=keep_samples)
 
-    def record(self, lat: CommandLatency) -> None:
-        self.record_parts(lat.fifo_cycles, lat.execution_cycles,
-                          lat.data_cycles, lat.end_to_end_cycles)
-
     def record_parts(self, fifo_cycles: float, execution_cycles: float,
                      data_cycles: float, end_to_end_cycles: float = 0.0) -> None:
-        """Record one command's decomposition without materializing a
-        :class:`CommandLatency` -- the per-command fast path of the load
-        experiments (``total`` is the paper's additive decomposition)."""
+        """Record one command's decomposition, in MMS clock cycles.
+
+        ``total`` is the paper's additive decomposition (FIFO + exec +
+        data; the data access overlaps execution in time but the paper
+        reports the sum).  ``end_to_end_cycles`` is the true
+        submit-to-completion latency (completion = the later of
+        execution end and data-transfer end); it differs from the
+        additive total when pointer and data work overlap -- which is
+        exactly what the A5 ablation measures."""
         if not self.fifo.keep_samples:
             # this runs once per executed command; skip the per-recorder
             # sample-retention indirection when nothing retains samples

@@ -298,8 +298,7 @@ def run_load(offered_gbps: float, num_volleys: int = 2500,
     original_record_parts = mms.breakdown.record_parts
     state = {"t0": None, "t_last": 0}
 
-    # Hook the parts-level recorder: both LatencyBreakdown.record and the
-    # DQM's allocation-free record_parts fast path funnel through it.
+    # Hook the parts-level recorder every DQM finalize feeds.
     def recording_with_warmup(fifo_cycles, execution_cycles, data_cycles,
                               end_to_end_cycles=0.0):
         original_record_parts(fifo_cycles, execution_cycles, data_cycles,

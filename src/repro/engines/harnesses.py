@@ -25,7 +25,8 @@ kernel harnesses route ``engine="fast"`` here whenever
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from operator import itemgetter
+from typing import Dict, List, Tuple
 
 from repro.core.latency import LatencyBreakdown
 from repro.core.mms import BITS_PER_OP, MmsConfig, MmsLoadResult
@@ -39,47 +40,39 @@ from repro.core.workloads import (
 from repro.engines.stream import StreamMms
 from repro.policies.harness import OverloadResult
 from repro.sim.clock import Clock, SEC
+from repro.telemetry.probe import (
+    REC_DATA,
+    REC_E2E,
+    REC_EXECUTION,
+    REC_FIFO,
+    REC_TIME,
+    CompletionRecord,
+)
 
 #: Saturation harness horizon (far beyond any drain time).
 SATURATION_HORIZON_PS = 60 * SEC
 
+#: The completion-record fields the Table 5 breakdown folds read.
+_CYCLES = itemgetter(REC_FIFO, REC_EXECUTION, REC_DATA, REC_E2E)
+_TIMED_CYCLES = itemgetter(REC_TIME, REC_FIFO, REC_EXECUTION, REC_DATA,
+                           REC_E2E)
 
-def _feed_probe(records: list, probe) -> None:
-    """Feed the probe's ``on_record`` channel from a ``with_ops``
-    record list, in kernel delivery order.
+
+def _replay(eng: StreamMms, probe, horizon: int
+            ) -> List[CompletionRecord]:
+    """The run's completion records in kernel delivery order, fed to
+    the probe's ``on_record`` first when one is set.
 
     The kernel path emits ``on_record`` live from its probed finalize
     processes; the stream machine replays the identical record stream
     (same values, same delivery order -- the fuzz suite's contract)
-    after the run, so the folded telemetry is byte-identical.
+    after the run, so every fold over it is byte-identical.
     """
-    on_record = probe.on_record
-    for time_ps, fifo_c, exec_c, data_c, e2e_c, op in records:
-        on_record(time_ps, op, fifo_c, exec_c, data_c, e2e_c)
-
-
-def _feed_stages(eng: StreamMms, probe, horizon: int) -> None:
-    """Replay the run's stage records into the probe's ``on_stages``
-    channel, in kernel delivery order.
-
-    Runs after the ``on_record`` replay -- the two channels carry no
-    ordering contract between each other (the probe docstring's
-    per-channel independence rule), so replaying them back to back is
-    byte-equivalent to the kernel's interleaved live emission."""
-    on_stages = probe.on_stages
-    for time_ps, seq, op, flow, submit, start, end, dsub, ddone in \
-            eng.stage_records(horizon):
-        on_stages(time_ps, seq, op, flow, submit, start, end, dsub, ddone)
-
-
-def _records(eng: StreamMms, probe, horizon: int) -> list:
-    """The run's ``with_ops`` latency records for the breakdown
-    replay (built once; fed to the probe when one is set)."""
-    records = eng.latency_records(horizon, with_ops=True)
+    records = eng.completion_records(horizon)
     if probe is not None:
-        _feed_probe(records, probe)
-        if getattr(probe, "wants_stages", False):
-            _feed_stages(eng, probe, horizon)
+        on_record = probe.on_record
+        for record in records:
+            on_record(record)
     return records
 
 
@@ -112,8 +105,8 @@ def assemble_load_result(eng: StreamMms, probe, horizon: int,
     t0 = None
     t_last = 0
     boundary = warmup_volleys * 4
-    for time_ps, fifo_c, exec_c, data_c, e2e_c, _op in \
-            _records(eng, probe, horizon):
+    for time_ps, fifo_c, exec_c, data_c, e2e_c in \
+            map(_TIMED_CYCLES, _replay(eng, probe, horizon)):
         breakdown.record_parts(fifo_c, exec_c, data_c, e2e_c)
         t_last = time_ps
         if breakdown.count == boundary:
@@ -171,8 +164,8 @@ def saturation_prefill_packets(per_port: int, active_flows: int) -> int:
 def assemble_saturation_result(eng: StreamMms, probe, horizon: int,
                                config: MmsConfig) -> MmsLoadResult:
     breakdown = LatencyBreakdown(eng.clock, keep_samples=config.keep_samples)
-    for _time_ps, fifo_c, exec_c, data_c, e2e_c, _op in \
-            _records(eng, probe, horizon):
+    for fifo_c, exec_c, data_c, e2e_c in \
+            map(_CYCLES, _replay(eng, probe, horizon)):
         breakdown.record_parts(fifo_c, exec_c, data_c, e2e_c)
     row = breakdown.row()
     # the DQM runs back-to-back under saturation (see
@@ -237,9 +230,7 @@ def assemble_overload_result(eng: StreamMms, cfg: MmsConfig, shape: str,
                              engine_label: str = "fast") -> OverloadResult:
     if probe is not None:
         # replay only: the overload result wants counters, not records
-        _feed_probe(eng.latency_records(horizon, with_ops=True), probe)
-        if getattr(probe, "wants_stages", False):
-            _feed_stages(eng, probe, horizon)
+        _replay(eng, probe, horizon)
     stats = eng.policy.stats
     return OverloadResult(
         policy=cfg.policy.name,

@@ -51,6 +51,7 @@ from repro.policies import BufferPolicy, make_policy
 from repro.policies.base import DroppedSegment
 from repro.queueing import PacketQueueManager
 from repro.sim.clock import NS, Clock
+from repro.telemetry.probe import REC_DATA_SUBMIT, REC_TIME, CompletionRecord
 
 #: Micro-op a feeder generator may yield: a positive int sleep (ps) or a
 #: command tuple ``(CommandType, flow, dst_flow, eop, length)``.
@@ -87,7 +88,7 @@ def stream_supports(config: MmsConfig) -> Optional[str]:
     custom per-port FIFO depths/priorities are backpressure *timing
     studies* whose interleavings belong to the kernel.  It also requires
     the DMC completion grid to stay off the MMS clock grid (true for
-    every paper configuration), which is what makes the latency-record
+    every paper configuration), which is what makes the completion-record
     ordering reproducible without a kernel.
     """
     if config.ports != DEFAULT_PORTS:
@@ -191,8 +192,8 @@ class StreamMms:
         #: probed dispatch (emitting ``on_command`` at the pop instant)
         #: and disables the inlined opcode branches; when None, the hot
         #: loop carries no telemetry call sites (structural absence).
-        #: ``on_record`` is replayed from :meth:`latency_records` by the
-        #: harnesses after the run.
+        #: ``on_record`` is replayed from :meth:`completion_records` by
+        #: the harnesses after the run.
         self.probe = probe
 
     # --------------------------------------------------------- wiring
@@ -556,93 +557,63 @@ class StreamMms:
 
     # -------------------------------------------------------- records
 
-    def latency_records(self, horizon_ps: int, with_ops: bool = False
-                        ) -> List[tuple]:
-        """Per-command latency records in kernel delivery order.
+    def completion_records(self, horizon_ps: int
+                           ) -> List[CompletionRecord]:
+        """Per-command completion records in kernel delivery order.
 
-        Each entry is ``(record_time_ps, fifo_cycles, execution_cycles,
-        data_cycles, end_to_end_cycles)`` -- exactly what the kernel
-        path's ``_finalize`` process feeds ``record_parts``, in the
-        order those processes resume.  With ``with_ops`` each entry
-        additionally carries the :class:`CommandType` as a sixth field
-        (the telemetry replay keys histograms by it).  Records are
-        delivered when the data transfer completes (data commands) or
-        at end of execution (pointer-only and policy-dropped commands);
-        the kernel's within-timestamp FIFO contract puts a completion
-        resume (pushed at issue time) ahead of a finalize spawned in
-        that timestamp, which is the ``tie`` sort key below;
+        Each entry is a :data:`repro.telemetry.probe.CompletionRecord`
+        -- exactly what the kernel path's probed finalize hands
+        ``on_record`` (and, as its cycle fields, what every
+        ``_finalize`` feeds ``record_parts``), in the order those
+        processes resume.  ``seq`` is the dispatch
+        index: the DQM is serial, so completion (append) order in
+        ``_done`` *is* dispatch order, shared with the kernel's
+        ``commands_executed`` stamp.  Records are delivered when the
+        data transfer completes (data commands) or at end of execution
+        (pointer-only and policy-dropped commands, whose data bounds are
+        -1).  The kernel's within-timestamp FIFO contract puts a
+        completion resume (pushed at issue time) ahead of a finalize
+        spawned in that timestamp, so the sort key ranks a record with
+        no data transfer after a data record of the same instant, and
+        the stable sort keeps dispatch order otherwise;
         ``stream_supports`` rules out configurations where the two
         grids could otherwise collide.
         """
         period = self.clock.period_ps
         opinfo = self._opinfo
-        entries = []
-        for cmd in self._done:
-            req = cmd[C_REQ]
-            end_ps = cmd[C_END]
-            if req is None:
-                record_time = end_ps
-                data_done = end_ps
-                data_cycles = 0.0
-                tie = 1
-            else:
-                complete = req[R_COMPLETE]
-                if complete < 0:
-                    continue  # never issued inside the horizon
-                record_time = complete
-                data_done = complete
-                data_cycles = (complete - req[R_SUBMIT]) / period
-                tie = 0
-            if record_time > horizon_ps:
-                continue
-            submit = cmd[C_SUBMIT]
-            fifo_cycles = (cmd[C_START] - submit) / period if submit >= 0 \
-                else 0.0
-            base = submit if submit >= 0 else cmd[C_START]
-            completion = end_ps if end_ps > data_done else data_done
-            entries.append((record_time, tie,
-                            fifo_cycles, opinfo[cmd[C_OP]][2], data_cycles,
-                            (completion - base) / period, cmd[C_OP]))
-        entries.sort(key=lambda e: (e[0], e[1]))
-        if with_ops:
-            return [(e[0], e[2], e[3], e[4], e[5], e[6]) for e in entries]
-        return [(e[0], e[2], e[3], e[4], e[5]) for e in entries]
-
-    def stage_records(self, horizon_ps: int) -> List[tuple]:
-        """Per-command lifecycle stage bounds in kernel delivery order.
-
-        Each entry is ``(record_time_ps, seq, op, flow, submit_ps,
-        start_ps, end_ps, data_submit_ps, data_done_ps)`` -- exactly
-        what the kernel path's traced finalize feeds ``on_stages``, in
-        the order those processes resume.  ``seq`` is the dispatch
-        index: the DQM is serial, so completion (append) order in
-        ``_done`` *is* dispatch order, shared with the kernel's
-        ``commands_executed`` stamp.  Delivery instants and skip rules
-        mirror :meth:`latency_records` record for record; the data
-        bounds are -1 for commands that never reached the DMC.
-        """
-        entries = []
+        records: List[CompletionRecord] = []
         for seq, cmd in enumerate(self._done):
             req = cmd[C_REQ]
             end_ps = cmd[C_END]
             if req is None:
                 record_time = end_ps
-                data_submit = -1
-                data_done = -1
-                tie = 1
+                data_submit = data_done = -1
+                data_cycles = 0.0
+                completion = end_ps
             else:
                 complete = req[R_COMPLETE]
                 if complete < 0:
                     continue  # never issued inside the horizon
-                record_time = complete
+                record_time = data_done = complete
                 data_submit = req[R_SUBMIT]
-                data_done = complete
-                tie = 0
+                data_cycles = (complete - data_submit) / period
+                completion = end_ps if end_ps > complete else complete
             if record_time > horizon_ps:
                 continue
-            entries.append((record_time, tie, seq, cmd[C_OP], cmd[C_FLOW],
-                            cmd[C_SUBMIT], cmd[C_START], end_ps,
-                            data_submit, data_done))
-        entries.sort(key=lambda e: (e[0], e[1]))
-        return [(e[0], e[2], e[3], e[4], e[5], e[6], e[7], e[8], e[9])
-                for e in entries]
+            submit = cmd[C_SUBMIT]
+            start = cmd[C_START]
+            if submit >= 0:
+                fifo_cycles = (start - submit) / period
+                base = submit
+            else:
+                fifo_cycles = 0.0
+                base = start
+            op = cmd[C_OP]
+            records.append((
+                record_time, seq, op, cmd[C_FLOW],
+                submit, start, end_ps, data_submit, data_done,
+                fifo_cycles, opinfo[op][2], data_cycles,
+                (completion - base) / period))
+        records.sort(
+            key=lambda r: 2 * r[REC_TIME] + (r[REC_DATA_SUBMIT] < 0))
+        return records

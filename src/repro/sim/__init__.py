@@ -21,13 +21,7 @@ from repro.sim.clock import MHZ, NS, PS, US, MS, SEC, Clock
 from repro.sim.kernel import Event, Process, SimulationError, Simulator
 from repro.sim.fifo import Fifo, FifoFullError, FifoEmptyError
 from repro.sim.resource import Resource
-from repro.sim.stats import (
-    Counter,
-    Histogram,
-    LatencyRecorder,
-    RunningStats,
-    TimeWeighted,
-)
+from repro.sim.stats import LatencyRecorder, RunningStats, TimeWeighted
 
 __all__ = [
     "PS",
@@ -45,9 +39,7 @@ __all__ = [
     "FifoFullError",
     "FifoEmptyError",
     "Resource",
-    "Counter",
     "TimeWeighted",
-    "Histogram",
     "LatencyRecorder",
     "RunningStats",
 ]

@@ -15,25 +15,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
 
-class Counter:
-    """A named monotonic event counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "counter") -> None:
-        self.name = name
-        self.value = 0
-
-    def incr(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Counter({self.name!r}, {self.value})"
-
-
 class RunningStats:
     """Streaming mean/variance/min/max (Welford's algorithm)."""
 
@@ -114,48 +95,6 @@ class TimeWeighted:
             return self._value
         integral = self._integral + self._value * (now - self._last_change_ps)
         return integral / elapsed
-
-
-class Histogram:
-    """Fixed-width bin histogram with overflow bin and quantile queries."""
-
-    def __init__(self, bin_width: float, num_bins: int, origin: float = 0.0) -> None:
-        if bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {bin_width}")
-        if num_bins < 1:
-            raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-        self.bin_width = bin_width
-        self.num_bins = num_bins
-        self.origin = origin
-        self.bins: List[int] = [0] * (num_bins + 1)  # last bin = overflow
-        self.count = 0
-
-    def add(self, x: float) -> None:
-        idx = int((x - self.origin) // self.bin_width)
-        if idx < 0:
-            idx = 0
-        elif idx >= self.num_bins:
-            idx = self.num_bins  # overflow
-        self.bins[idx] += 1
-        self.count += 1
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile (bin upper edge); q in [0, 1]."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0,1], got {q}")
-        if self.count == 0:
-            return self.origin
-        target = q * self.count
-        cumulative = 0
-        for i, n in enumerate(self.bins):
-            cumulative += n
-            if cumulative >= target:
-                return self.origin + (i + 1) * self.bin_width
-        return self.origin + (self.num_bins + 1) * self.bin_width
-
-    @property
-    def overflow(self) -> int:
-        return self.bins[-1]
 
 
 class LatencyRecorder:

@@ -9,12 +9,13 @@ layer that answers those questions without storing per-command samples:
 * :class:`Probe` -- the observation protocol.  Both execution paths
   (the DES kernels driving :class:`~repro.core.dqm.DataQueueManager`
   and the DES-free :class:`~repro.engines.StreamMms` loop) emit the
-  same two event streams at the same simulated instants: ``on_command``
-  at every DQM dispatch boundary and ``on_record`` at every
-  latency-record delivery.  Because the dispatch/record streams are
-  already proven byte-identical across engines (``tests/engines``),
-  any deterministic probe observes byte-identical telemetry from
-  either engine.
+  same two event streams: ``on_command`` live at every DQM dispatch
+  boundary, and ``on_record`` with one completion record per command
+  (dispatch seq, picosecond stage bounds and the Section 6.1 cycle
+  split; see :data:`~repro.telemetry.probe.CompletionRecord`) in
+  delivery order.  Because both streams are proven byte-identical
+  across engines (``tests/engines``), any deterministic probe observes
+  byte-identical telemetry from either engine.
 * :class:`Log2Histogram` -- exact streaming counts in log2 buckets,
   with deterministic p50/p90/p99/p99.9/max summaries and no sample
   retention.

@@ -31,7 +31,14 @@ from typing import Any, Dict, List, Mapping, Tuple
 from repro.core.commands import CommandType
 from repro.policies.base import DroppedSegment
 from repro.telemetry.histogram import Log2Histogram
-from repro.telemetry.probe import Probe, TelemetrySpec
+from repro.telemetry.probe import (
+    REC_E2E,
+    REC_FIFO,
+    REC_OP,
+    CompletionRecord,
+    Probe,
+    TelemetrySpec,
+)
 
 #: Schema version of the serialized telemetry payload.
 TELEMETRY_SCHEMA = 1
@@ -91,13 +98,14 @@ class MmsTelemetry(Probe):
         if queue_depth > self.queue_peaks.get(flow, -1):
             self.queue_peaks[flow] = queue_depth
 
-    def on_record(self, time_ps: int, op: CommandType, fifo_cycles: float,
-                  execution_cycles: float, data_cycles: float,
-                  end_to_end_cycles: float) -> None:
+    def on_record(self, record: CompletionRecord) -> None:
+        op = record[REC_OP]
         route = self._routes.get(op)
         if route is None:
             route = self._routes[op] = self._make_route(op)
         cls_e2e, cls_fifo, all_e2e, all_fifo = route
+        end_to_end_cycles = record[REC_E2E]
+        fifo_cycles = record[REC_FIFO]
         cls_e2e.add(end_to_end_cycles)
         all_e2e.add(end_to_end_cycles)
         cls_fifo.add(fifo_cycles)

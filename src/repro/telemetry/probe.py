@@ -3,15 +3,23 @@
 A :class:`Probe` observes the two event streams every MMS execution
 path emits at its command boundaries:
 
-* ``on_command`` -- one call per DQM dispatch, at the pop instant, with
-  the functional result and the post-dispatch occupancy.  The kernel
-  path emits it from the probed ``DataQueueManager`` dispatch; the
-  stream engine from the probed dispatch of its inlined loop.
-* ``on_record`` -- one call per latency-record delivery (the instant
-  the data transfer completes, or end of execution for pointer-only
-  commands), with the full cycle decomposition.  The kernel path emits
-  it from the probed finalize process; the stream engine replays its
-  record stream in delivery order after the run.
+* ``on_command`` -- one live call per DQM dispatch, at the pop instant,
+  with the functional result and the post-dispatch occupancy.  The
+  kernel path emits it from the probed ``DataQueueManager`` dispatch;
+  the stream engine from the probed dispatch of its inlined loop.  It
+  stays live on both engines because :class:`PublishingProbe
+  <repro.telemetry.publish.PublishingProbe>` streams progress frames
+  from it while a run is still executing.
+* ``on_record`` -- one call per command completion (the instant the
+  data transfer completes, or end of execution for pointer-only
+  commands) carrying the command's *completion record*: a plain tuple
+  (:data:`CompletionRecord`), indexed by the ``REC_*`` constants
+  below.  It holds the dispatch index, the picosecond stage bounds and
+  the Section 6.1 cycle split of the same command, so every observer
+  (telemetry histograms, span tracing, the Table 5 breakdown) folds the
+  one stream.  The kernel path emits it from the probed finalize
+  process; the stream engine replays its record stream in delivery
+  order after the run.
 
 The two channels carry no ordering contract *between* each other (the
 stream engine delivers all ``on_command`` calls before replaying the
@@ -29,9 +37,37 @@ telemetry call sites (and no per-command branches) at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Final, Sequence, Tuple
 
 from repro.core.commands import CommandType
+
+#: Field indices of one completion record, in tuple order.  ``seq`` is
+#: the dispatch index -- the DQM is serial, so dispatch order is a total
+#: order both engines share even though commands complete out of it.
+#: The ``*_ps`` fields are the command's picosecond stage bounds:
+#: ``submit_ps`` is -1 for commands never staged through a port FIFO;
+#: ``data_submit_ps``/``data_done_ps`` are -1 for commands that never
+#: reached the DMC (pointer-only and policy-dropped ones).  The cycle
+#: fields are the Section 6.1 split plus the true end-to-end latency.
+REC_TIME: Final = 0
+REC_SEQ: Final = 1
+REC_OP: Final = 2
+REC_FLOW: Final = 3
+REC_SUBMIT: Final = 4
+REC_START: Final = 5
+REC_END: Final = 6
+REC_DATA_SUBMIT: Final = 7
+REC_DATA_DONE: Final = 8
+REC_FIFO: Final = 9
+REC_EXECUTION: Final = 10
+REC_DATA: Final = 11
+REC_E2E: Final = 12
+
+#: One completion record: ``(time_ps, seq, op, flow, submit_ps,
+#: start_ps, end_ps, data_submit_ps, data_done_ps, fifo_cycles,
+#: execution_cycles, data_cycles, end_to_end_cycles)``.
+CompletionRecord = Tuple[int, int, CommandType, int, int, int, int, int,
+                         int, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -71,11 +107,6 @@ class Probe:
     probe's arguments).
     """
 
-    #: Stage-transition opt-in: the execution paths emit ``on_stages``
-    #: (and pay its bookkeeping) only when this is True, so
-    #: telemetry-only probes keep the exact PR-5 probed hot path.
-    wants_stages: bool = False
-
     def on_command(self, time_ps: int, op: CommandType, flow: int,
                    result: object, queue_depth: int,
                    total_segments: int) -> None:
@@ -84,26 +115,9 @@ class Probe:
         occupancy and ``total_segments`` the aggregate buffer
         occupancy."""
 
-    def on_record(self, time_ps: int, op: CommandType, fifo_cycles: float,
-                  execution_cycles: float, data_cycles: float,
-                  end_to_end_cycles: float) -> None:
-        """One latency-record delivery at ``time_ps`` (the Table 5
-        decomposition plus the true submit-to-completion latency), in
-        record-delivery order."""
-
-    def on_stages(self, time_ps: int, seq: int, op: CommandType, flow: int,
-                  submit_ps: int, start_ps: int, end_ps: int,
-                  data_submit_ps: int, data_done_ps: int) -> None:
-        """One command's lifecycle stage bounds, delivered at its
-        latency-record instant (``time_ps``), in record-delivery order.
-
-        ``seq`` is the command's dispatch index -- the DQM is serial, so
-        dispatch order is a total order shared by both engines even
-        though records complete out of it.  ``submit_ps`` is -1 for
-        commands never staged through a port FIFO;
-        ``data_submit_ps``/``data_done_ps`` are -1 for pointer-only
-        commands.  Emitted only when :attr:`wants_stages` is True.
-        """
+    def on_record(self, record: CompletionRecord) -> None:
+        """One command completion, delivered at ``record[REC_TIME]`` in
+        record-delivery order (see :data:`CompletionRecord`)."""
 
 
 class ProbeChain(Probe):
@@ -112,16 +126,13 @@ class ProbeChain(Probe):
     The execution paths take exactly one probe at construction; chaining
     keeps that contract while letting a run carry both the telemetry
     collector and the span tracer.  Each hook forwards to every child in
-    chain order; :attr:`wants_stages` is the OR of the children's, so a
-    telemetry-only chain still skips stage bookkeeping.
+    chain order.
     """
 
     def __init__(self, probes: Sequence[Probe]) -> None:
         if not probes:
             raise ValueError("ProbeChain requires at least one probe")
         self.probes: Tuple[Probe, ...] = tuple(probes)
-        self.wants_stages = any(
-            getattr(p, "wants_stages", False) for p in self.probes)
 
     def on_command(self, time_ps: int, op: CommandType, flow: int,
                    result: object, queue_depth: int,
@@ -130,16 +141,6 @@ class ProbeChain(Probe):
             probe.on_command(time_ps, op, flow, result, queue_depth,
                              total_segments)
 
-    def on_record(self, time_ps: int, op: CommandType, fifo_cycles: float,
-                  execution_cycles: float, data_cycles: float,
-                  end_to_end_cycles: float) -> None:
+    def on_record(self, record: CompletionRecord) -> None:
         for probe in self.probes:
-            probe.on_record(time_ps, op, fifo_cycles, execution_cycles,
-                            data_cycles, end_to_end_cycles)
-
-    def on_stages(self, time_ps: int, seq: int, op: CommandType, flow: int,
-                  submit_ps: int, start_ps: int, end_ps: int,
-                  data_submit_ps: int, data_done_ps: int) -> None:
-        for probe in self.probes:
-            probe.on_stages(time_ps, seq, op, flow, submit_ps, start_ps,
-                            end_ps, data_submit_ps, data_done_ps)
+            probe.on_record(record)

@@ -22,7 +22,7 @@ Design constraints, mirroring :mod:`repro.monitor.events`:
 * **replay-deterministic ordering** -- frames are keyed by the
   dispatched-command count, never a clock: re-running the same spec
   publishes the identical frame sequence (per engine -- the stream
-  engine replays latency records after its command loop, so *mid-run*
+  engine replays completion records after its command loop, so *mid-run*
   histogram content is engine-specific; the terminal frame is
   byte-identical across engines, like the telemetry payload itself);
 * **structurally absent when disabled** -- nothing publishes unless a

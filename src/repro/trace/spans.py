@@ -1,8 +1,10 @@
 """The span tracer: per-packet lifecycle stages as a deterministic fold.
 
-:class:`TraceCollector` consumes the probe protocol's stage channel
-(:meth:`~repro.telemetry.probe.Probe.on_stages`) plus the dispatch
-channel and records one span per lifecycle stage of every command:
+:class:`TraceCollector` folds both probe channels: the stage bounds of
+every completion record (:meth:`~repro.telemetry.probe.Probe.on_record`)
+and the verdict and occupancy of every dispatch (``on_command``),
+joined on the dispatch sequence number.  It records one span per
+lifecycle stage of every command:
 
 * ``fifo``    -- port submit to DQM pop (the reassembly/staging wait),
 * ``execute`` -- the DQM's serial pointer-manipulation schedule,
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping
 
 from repro.core.commands import CommandType
-from repro.telemetry.probe import Probe
+from repro.telemetry.probe import REC_FIFO, CompletionRecord, Probe
 
 #: Schema version of the serialized trace payload.
 TRACE_SCHEMA = 1
@@ -65,8 +67,6 @@ class TraceSpec:
 class TraceCollector(Probe):
     """The standard span tracer (see module docstring)."""
 
-    wants_stages = True
-
     def __init__(self, spec: TraceSpec = TraceSpec()) -> None:
         self.spec = spec
         # dispatch channel: row per on_command call, indexed by dispatch
@@ -76,7 +76,7 @@ class TraceCollector(Probe):
         self.by_op: Dict[str, int] = {}
         self.dropped_commands = 0
         self.drops_by_reason: Dict[str, int] = {}
-        # stage channel: row per on_stages delivery, in delivery order
+        # record channel: row per completion record, in delivery order
         self._stages: List[list] = []
         self.completed = 0
         self.truncated_commands = 0
@@ -110,9 +110,9 @@ class TraceCollector(Probe):
         verdict = "accept" if reason is None else f"drop:{reason}"
         self._commands.append([verdict, queue_depth, total_segments])
 
-    def on_stages(self, time_ps: int, seq: int, op: CommandType, flow: int,
-                  submit_ps: int, start_ps: int, end_ps: int,
-                  data_submit_ps: int, data_done_ps: int) -> None:
+    def on_record(self, record: CompletionRecord) -> None:
+        (time_ps, seq, op, flow, submit_ps, start_ps, end_ps,
+         data_submit_ps, data_done_ps) = record[:REC_FIFO]
         self.completed += 1
         if submit_ps >= 0:
             self.fifo_ps += start_ps - submit_ps

@@ -3,8 +3,8 @@
 The checkpoint contract is *byte* identity, not statistical sameness: a
 run split at a random rest point, serialized through JSON, and resumed
 in a fresh process-equivalent (new engine objects, re-derived feeders)
-must produce the same traces, dispatch log, latency records, drop
-records, telemetry snapshot and final functional state as an unbroken
+must produce the same traces, dispatch log, full completion records,
+drop records, telemetry snapshot and final functional state as an unbroken
 run.  This suite fuzzes that over:
 
 * rich mixed-op scripts (every command type) on the stream engine,
@@ -32,17 +32,19 @@ from repro.checkpoint import (
     KernelRun,
     StreamRun,
     functional_digest,
+    kernel_runs,
     overload_params,
     script_params,
 )
 from repro.core.commands import CommandType
 from repro.core.mms import MmsConfig
 from repro.policies import PolicySpec
-from repro.telemetry import TelemetrySpec
+from repro.telemetry import ProbeChain, TelemetrySpec
 from tests.engines.test_stream_fuzz import (
     Capture,
     HORIZON,
     TELE_SPEC,
+    RecordLog,
     _capture_mem,
     assert_identical,
     make_mixed_scripts,
@@ -73,15 +75,15 @@ def _attach(run: StreamRun) -> Capture:
 def _finalize(run: StreamRun, caps, horizon=HORIZON) -> Capture:
     """Fold per-segment captures plus the finished run's record-derived
     observables into one full-run Capture (the restored ``_done`` list
-    spans the whole run, so latency records and telemetry come from the
-    final engine alone)."""
+    spans the whole run, so completion records and telemetry come from
+    the final engine alone)."""
     cap = Capture()
     cap.traces = [t for c in caps for t in c.traces]
     cap.cmds = [c_ for c in caps for c_ in c.cmds]
-    records = run.eng.latency_records(horizon, with_ops=True)
-    for t, f, e, d, ee, op in records:
-        run.probe.on_record(t, op, f, e, d, ee)
-    cap.records = [(t, f, e, d, ee) for t, f, e, d, ee, _op in records]
+    records = run.eng.completion_records(horizon)
+    for record in records:
+        run.probe.on_record(record)
+    cap.records = records
     cap.telemetry = json.dumps(run.probe.snapshot().to_dict())
     cap.snapshot_final(run.eng.pqm, run.eng.policy, run.eng.now,
                        run.eng.commands_executed)
@@ -135,25 +137,46 @@ def test_mixed_scripts_stream_edge_splits():
                      run_stream_with_splits(params, [HORIZON // 2]))
 
 
+def _log_kernel_records(monkeypatch) -> list:
+    """Chain a :class:`RecordLog` behind every KernelRun's probe; the
+    returned list collects one log per run built."""
+    logs = []
+    build = kernel_runs._build_probes
+
+    def build_logged(params):
+        telemetry, tracer, probe = build(params)
+        log = RecordLog()
+        logs.append(log)
+        return telemetry, tracer, ProbeChain([probe, log])
+
+    monkeypatch.setattr(kernel_runs, "_build_probes", build_logged)
+    return logs
+
+
 @pytest.mark.parametrize("seed", [1, 7])
-def test_mixed_scripts_kernel_split_identical(seed):
+def test_mixed_scripts_kernel_split_identical(seed, monkeypatch):
+    logs = _log_kernel_records(monkeypatch)
     scripts = make_mixed_scripts(seed)
     params = script_params(MIXED_CFG, scripts, horizon_ps=HORIZON,
                            telemetry=TELE_SPEC)
     whole = KernelRun.fresh("script", params)
     base = whole.finish()
     base_digest = functional_digest(whole.mms, whole.store)
-    base_tel = json.dumps(whole.probe.snapshot().to_dict())
+    base_tel = json.dumps(whole.telemetry.snapshot().to_dict())
 
     rng = random.Random(seed + 31)
-    split = rng.randrange(1, _probe_span(whole.probe))
+    split = rng.randrange(1, _probe_span(whole.telemetry))
     run = KernelRun.fresh("script", params)
     run.run(split)
     blob = run.checkpoint().to_json()
     resumed = KernelRun.resume(Checkpoint.from_json(blob))
     assert resumed.finish() == base
     assert functional_digest(resumed.mms, resumed.store) == base_digest
-    assert json.dumps(resumed.probe.snapshot().to_dict()) == base_tel
+    assert json.dumps(resumed.telemetry.snapshot().to_dict()) == base_tel
+    # full completion records: split == unbroken == the stream engine
+    assert logs[-1].records == logs[0].records
+    assert logs[0].records == \
+        run_stream(MIXED_CFG, [list(s) for s in scripts]).records
 
 
 # ---------------------------------------------- latency-family policies

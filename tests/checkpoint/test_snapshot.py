@@ -147,8 +147,9 @@ def test_telemetry_state_round_trip_continues_identically():
         for i in range(lo, hi):
             op = CommandType.ENQUEUE if i % 3 else CommandType.DEQUEUE
             tel.on_command(i * 100, op, i % 5, None, i % 4, i % 7)
-            tel.on_record(i * 100, op, 2.0, 10.5 + i % 9, 4.0,
-                          16.5 + i % 9)
+            tel.on_record((i * 100, i, op, i % 5, -1, i * 100,
+                           i * 100, -1, -1, 2.0, 10.5 + i % 9, 4.0,
+                           16.5 + i % 9))
 
     whole = MmsTelemetry(TelemetrySpec(sample_every=4))
     drive(whole, 0, 500)

@@ -12,7 +12,7 @@ from repro.core import (
     ReassemblyBlock,
     SegmentationBlock,
 )
-from repro.core.latency import CommandLatency, LatencyBreakdown
+from repro.core.latency import LatencyBreakdown
 from repro.net import Packet
 from repro.queueing.packet_queues import SegmentInfo
 from repro.sim import Clock, Simulator
@@ -236,14 +236,17 @@ def test_reassembly_inverse_of_segmentation():
 # -------------------------------------------------------------- latency
 
 def test_latency_total_is_additive():
-    lat = CommandLatency(cid=1, fifo_cycles=20, execution_cycles=10.5,
-                         data_cycles=28)
-    assert lat.total_cycles == pytest.approx(58.5)
+    bd = LatencyBreakdown(Clock(125))
+    bd.record_parts(fifo_cycles=20, execution_cycles=10.5, data_cycles=28,
+                    end_to_end_cycles=40)
+    assert bd.row()["total"] == pytest.approx(58.5)
+    # the true end-to-end latency is kept apart from the additive total
+    assert bd.end_to_end.mean == pytest.approx(40)
 
 def test_breakdown_row_means():
     bd = LatencyBreakdown(Clock(125))
-    bd.record(CommandLatency(1, 10, 10, 30))
-    bd.record(CommandLatency(2, 30, 11, 26))
+    bd.record_parts(10, 10, 30)
+    bd.record_parts(30, 11, 26)
     row = bd.row()
     assert row["fifo"] == pytest.approx(20)
     assert row["execution"] == pytest.approx(10.5)

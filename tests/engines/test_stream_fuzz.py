@@ -9,8 +9,9 @@ machine -- and everything observable must be byte-identical:
   lists, push-out walks included),
 * the per-command dispatch log (operation, flow, functional result,
   trace length, dispatch time),
-* the latency-record stream (delivery order *and* the picosecond
-  delivery times),
+* the completion-record stream (delivery order, the picosecond
+  delivery times, dispatch seq, stage bounds and cycle split), and the
+  kernel's Table 5 breakdown feed agreeing with its cycle fields,
 * the buffer-policy counters and the full typed ``DropRecord`` stream,
 * the telemetry fold (``repro.telemetry``): histogram buckets and
   percentile summaries, occupancy series and peaks, throughput/drop
@@ -38,7 +39,14 @@ from repro.engines import StreamMms
 from repro.policies import PolicySpec
 from repro.sim.clock import SEC
 from repro.sim.kernel import make_simulator
-from repro.telemetry import MmsTelemetry, TelemetrySpec
+from repro.telemetry import MmsTelemetry, Probe, ProbeChain, TelemetrySpec
+from repro.telemetry.probe import (
+    REC_DATA,
+    REC_E2E,
+    REC_EXECUTION,
+    REC_FIFO,
+    REC_TIME,
+)
 
 HORIZON = SEC  # far beyond any script's span
 
@@ -55,7 +63,7 @@ class Capture:
     def __init__(self):
         self.traces = []    # ordered end_trace() payloads
         self.cmds = []      # (op, flow, result-repr, trace_len, time)
-        self.records = []   # (time, fifo, exec, data, e2e)
+        self.records = []   # full completion records
         self.telemetry = ""  # serialized MmsTelemetry snapshot
         self.final = {}
 
@@ -85,6 +93,22 @@ class Capture:
             )
 
 
+class RecordLog(Probe):
+    """Keeps every completion record the engine delivers."""
+
+    def __init__(self):
+        self.records = []
+
+    def on_record(self, record):
+        self.records.append(record)
+
+
+def _cycle_parts(records):
+    """The ``record_parts`` feed a completion-record stream implies."""
+    return [(r[REC_TIME], r[REC_FIFO], r[REC_EXECUTION], r[REC_DATA],
+             r[REC_E2E]) for r in records]
+
+
 def _capture_mem(cap, mem):
     orig_end = mem.end_trace
 
@@ -100,7 +124,9 @@ def run_reference(config, scripts, drain_counters=None,
                   drain_period=None, active_flows=0):
     cap = Capture()
     tel = MmsTelemetry(TELE_SPEC)
-    mms = MMS(config, sim=make_simulator("reference"), probe=tel)
+    log = RecordLog()
+    mms = MMS(config, sim=make_simulator("reference"),
+              probe=ProbeChain([tel, log]))
     sim = mms.sim
     _capture_mem(cap, mms.pqm.mem)
 
@@ -115,11 +141,12 @@ def run_reference(config, scripts, drain_counters=None,
     mms.dqm._dispatch = dispatch
 
     orig_rec = mms.breakdown.record_parts
+    parts = []
 
     def record_parts(fifo_cycles, execution_cycles, data_cycles,
                      end_to_end_cycles=0.0):
-        cap.records.append((sim.now, fifo_cycles, execution_cycles,
-                            data_cycles, end_to_end_cycles))
+        parts.append((sim.now, fifo_cycles, execution_cycles,
+                      data_cycles, end_to_end_cycles))
         orig_rec(fifo_cycles, execution_cycles, data_cycles,
                  end_to_end_cycles)
 
@@ -132,6 +159,9 @@ def run_reference(config, scripts, drain_counters=None,
             mms.pqm.queued_packets, active_flows, drain_period,
             drain_counters)), name="drain")
     sim.run(until_ps=HORIZON)
+    # the breakdown and the probe see one completion per command
+    assert parts == _cycle_parts(log.records)
+    cap.records = log.records
     cap.telemetry = json.dumps(tel.snapshot().to_dict())
     cap.snapshot_final(mms.pqm, mms.policy, sim.now,
                        mms.dqm.commands_executed)
@@ -155,11 +185,11 @@ def run_stream(config, scripts, drain_counters=None,
             eng.pqm.queued_packets, active_flows, drain_period,
             drain_counters))
     eng.run(HORIZON)
-    records = eng.latency_records(HORIZON, with_ops=True)
-    for t, f, e, d, ee, op in records:
-        tel.on_record(t, op, f, e, d, ee)
+    records = eng.completion_records(HORIZON)
+    for record in records:
+        tel.on_record(record)
     cap.telemetry = json.dumps(tel.snapshot().to_dict())
-    cap.records = [(t, f, e, d, ee) for t, f, e, d, ee, _op in records]
+    cap.records = records
     cap.snapshot_final(eng.pqm, eng.policy, eng.now,
                        eng.commands_executed)
     if drain_counters is not None:

@@ -162,4 +162,4 @@ def test_run_resumes_across_horizons_like_the_kernel():
     assert split.commands_executed < one.commands_executed
     split.run(10**9)
     assert split.commands_executed == one.commands_executed
-    assert split.latency_records(10**9) == one.latency_records(10**9)
+    assert split.completion_records(10**9) == one.completion_records(10**9)

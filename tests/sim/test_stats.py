@@ -4,17 +4,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Counter, Histogram, LatencyRecorder, RunningStats, Simulator, TimeWeighted
+from repro.sim import LatencyRecorder, RunningStats, Simulator, TimeWeighted
 from repro.sim.stats import weighted_mean
 
-
-def test_counter_incr_and_reset():
-    c = Counter("ops")
-    c.incr()
-    c.incr(4)
-    assert c.value == 5
-    c.reset()
-    assert c.value == 0
 
 def test_running_stats_known_values():
     rs = RunningStats()
@@ -64,32 +56,6 @@ def test_time_weighted_no_elapsed_time():
     sim = Simulator()
     tw = TimeWeighted(sim, initial=5)
     assert tw.mean == 5
-
-def test_histogram_bins_and_overflow():
-    h = Histogram(bin_width=10, num_bins=5)
-    for x in (0, 5, 15, 44, 49, 120):
-        h.add(x)
-    assert h.bins[0] == 2       # 0, 5
-    assert h.bins[1] == 1       # 15
-    assert h.bins[4] == 2       # 44, 49
-    assert h.overflow == 1      # 120
-    assert h.count == 6
-
-def test_histogram_quantile_monotone():
-    h = Histogram(bin_width=1, num_bins=100)
-    for x in range(100):
-        h.add(x)
-    assert h.quantile(0.1) <= h.quantile(0.5) <= h.quantile(0.9)
-    assert h.quantile(0.5) == pytest.approx(50, abs=2)
-
-def test_histogram_bad_params():
-    with pytest.raises(ValueError):
-        Histogram(bin_width=0, num_bins=5)
-    with pytest.raises(ValueError):
-        Histogram(bin_width=1, num_bins=0)
-    h = Histogram(bin_width=1, num_bins=5)
-    with pytest.raises(ValueError):
-        h.quantile(1.5)
 
 def test_latency_recorder_basic():
     lr = LatencyRecorder("cmd")

@@ -18,6 +18,13 @@ DEQ = CommandType.DEQUEUE
 MOVE = CommandType.MOVE
 
 
+def _rec(time_ps, op, fifo, execution, data, e2e):
+    """A completion record with the given cycle split (telemetry reads
+    only the op and the cycle fields)."""
+    return (time_ps, 0, op, 0, -1, 0, 0, -1, -1, fifo, execution, data,
+            e2e)
+
+
 # ------------------------------------------------------------- spec
 
 def test_spec_validation():
@@ -59,9 +66,9 @@ def test_command_channel_counters_and_occupancy():
 
 def test_record_channel_histograms_by_class():
     tel = MmsTelemetry()
-    tel.on_record(1000, ENQ, 2.0, 10.0, 5.0, 14.0)
-    tel.on_record(2000, DEQ, 3.0, 11.0, 6.0, 16.0)
-    tel.on_record(3000, MOVE, 0.0, 8.0, 0.0, 8.0)
+    tel.on_record(_rec(1000, ENQ, 2.0, 10.0, 5.0, 14.0))
+    tel.on_record(_rec(2000, DEQ, 3.0, 11.0, 6.0, 16.0))
+    tel.on_record(_rec(3000, MOVE, 0.0, 8.0, 0.0, 8.0))
     h = tel.snapshot().histograms
     assert set(h) == {"all.e2e", "all.fifo", "enqueue.e2e", "enqueue.fifo",
                       "dequeue.e2e", "dequeue.fifo", "other.e2e",
@@ -78,15 +85,15 @@ def test_channels_are_independent():
     (the stream engine replays records after all commands)."""
     a, b = MmsTelemetry(), MmsTelemetry()
     commands = [(100 * i, ENQ, i % 3, i, 1, i + 1) for i in range(10)]
-    records = [(100 * i + 50, ENQ, 1.0 * i, 10.0, 2.0, 12.0 + i)
+    records = [_rec(100 * i + 50, ENQ, 1.0 * i, 10.0, 2.0, 12.0 + i)
                for i in range(10)]
     for cmd in commands:
         a.on_command(*cmd)
     for rec in records:
-        a.on_record(*rec)
+        a.on_record(rec)
     for cmd, rec in zip(commands, records):
         b.on_command(*cmd)
-        b.on_record(*rec)
+        b.on_record(rec)
     assert a.snapshot().to_dict() == b.snapshot().to_dict()
 
 
@@ -98,7 +105,8 @@ def _sample_snapshot():
         op = ENQ if i % 2 == 0 else DEQ
         tel.on_command(1000 * i, op, i % 5, i, queue_depth=i % 7,
                        total_segments=i % 11)
-        tel.on_record(1000 * i + 500, op, 0.5 * i, 10.5, 3.25, 14.25 + i)
+        tel.on_record(_rec(1000 * i + 500, op, 0.5 * i, 10.5, 3.25,
+                           14.25 + i))
     return tel.snapshot()
 
 

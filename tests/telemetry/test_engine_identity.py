@@ -12,8 +12,15 @@ import json
 
 import pytest
 
-from repro.scenarios import Runner, scenario_names
+from repro.scenarios import Runner, catalog, scenario_names
 from repro.scenarios.registry import scenarios_of_kind
+from repro.telemetry import MmsTelemetry
+from repro.telemetry.probe import (
+    REC_DATA_SUBMIT,
+    REC_E2E,
+    REC_SEQ,
+    REC_SUBMIT,
+)
 
 LATENCY_NAMES = [s.spec.name for s in scenarios_of_kind("latency")]
 
@@ -41,6 +48,42 @@ def test_latency_scenarios_byte_identical_across_engines(name):
     assert json.dumps(ref.metrics, sort_keys=True) == \
         json.dumps(fast.metrics, sort_keys=True)
     assert ref.engine == "reference" and fast.engine == "fast"
+
+
+class _RecordingTelemetry(MmsTelemetry):
+    """The standard telemetry probe, keeping every record it folds."""
+
+    runs = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.records = []
+        _RecordingTelemetry.runs.append(self)
+
+    def on_record(self, record):
+        self.records.append(record)
+        super().on_record(record)
+
+
+def test_telemetry_only_probe_gets_identical_full_records(monkeypatch):
+    """With tracing off, the telemetry probe alone still receives the
+    full completion record -- dispatch seq and picosecond stage bounds
+    included -- and both engines deliver the identical stream."""
+    monkeypatch.setattr(catalog, "MmsTelemetry", _RecordingTelemetry)
+    monkeypatch.setattr(_RecordingTelemetry, "runs", [])
+    runner = Runner()
+    ref = runner.run("latency-lqd-burst", engine="reference", fast=True)
+    fast = runner.run("latency-lqd-burst", engine="fast", fast=True)
+    assert "trace" not in ref.metrics and "trace" not in fast.metrics
+    ref_probe, fast_probe = _RecordingTelemetry.runs
+    records = ref_probe.records
+    assert records and fast_probe.records == records
+    assert {len(r) for r in records} == {REC_E2E + 1}
+    # every dispatched command completes once, seq in dispatch order
+    assert sorted(r[REC_SEQ] for r in records) == list(range(len(records)))
+    assert any(r[REC_SUBMIT] >= 0 for r in records)
+    assert any(r[REC_DATA_SUBMIT] >= 0 for r in records)
+    assert any(r[REC_DATA_SUBMIT] < 0 for r in records)
 
 
 @pytest.mark.parametrize("name", ["overload-red-sustained",

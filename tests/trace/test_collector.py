@@ -14,6 +14,12 @@ class _Drop:
         self.reason = reason
 
 
+def _rec(*stage_fields):
+    """A completion record with the given stage bounds (the tracer
+    reads none of the cycle fields)."""
+    return stage_fields + (0.0, 0.0, 0.0, 0.0)
+
+
 def _feed(tracer, n=4, drop_at=(), data=True):
     """n dispatches + completions with simple synthetic bounds."""
     for seq in range(n):
@@ -26,9 +32,9 @@ def _feed(tracer, n=4, drop_at=(), data=True):
         end = start + 50
         dsub = end if data else -1
         ddone = end + 300 if data else -1
-        tracer.on_stages(ddone if data else end, seq,
-                         CommandType.ENQUEUE, seq % 2,
-                         submit, start, end, dsub, ddone)
+        tracer.on_record(_rec(ddone if data else end, seq,
+                              CommandType.ENQUEUE, seq % 2,
+                              submit, start, end, dsub, ddone))
 
 
 def test_spec_rejects_negative_cap():
@@ -72,8 +78,8 @@ def test_span_rows_join_dispatch_verdicts():
 def test_pointer_only_commands_skip_fifo_and_data_spans():
     tracer = TraceCollector(TraceSpec())
     tracer.on_command(0, CommandType.MOVE, 0, object(), 0, 0)
-    tracer.on_stages(500, 0, CommandType.MOVE, 0,
-                     -1, 400, 500, -1, -1)
+    tracer.on_record(_rec(500, 0, CommandType.MOVE, 0,
+                          -1, 400, 500, -1, -1))
     snap = tracer.snapshot()
     assert [s["stage"] for s in snap.spans] == ["execute"]
     assert snap.attribution["fifo_ps"] == 0
@@ -107,9 +113,9 @@ def test_state_round_trip_and_split_fold_identity():
         resumed.on_command(1000 * seq, CommandType.ENQUEUE, seq % 2,
                            result, seq, 2 * seq)
         submit = 1000 * seq
-        resumed.on_stages(submit + 450, seq, CommandType.ENQUEUE,
-                          seq % 2, submit, submit + 100, submit + 150,
-                          submit + 150, submit + 450)
+        resumed.on_record(_rec(submit + 450, seq, CommandType.ENQUEUE,
+                               seq % 2, submit, submit + 100,
+                               submit + 150, submit + 150, submit + 450))
     assert resumed.snapshot().to_dict() == whole.snapshot().to_dict()
 
 

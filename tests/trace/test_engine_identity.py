@@ -71,7 +71,7 @@ def test_trace_rides_alongside_telemetry_unchanged():
 
 
 def test_trace_off_by_default_everywhere():
-    """The stage channel must be structurally absent unless asked for."""
+    """Tracing must be structurally absent unless asked for."""
     result = Runner().run("latency-taildrop-burst", fast=True)
     assert "trace" not in result.metrics
     for name in scenario_names():
