@@ -1,4 +1,4 @@
-"""Experiment harness: paper data, rendering, CLI, legacy drivers.
+"""Experiment harness: paper data, rendering, sweeps, CLI.
 
 ``python -m repro.analysis run table1`` (or the installed
 ``repro-analysis`` script) regenerates any published artifact and
@@ -6,8 +6,7 @@ prints it side-by-side with the paper's numbers.  Execution lives in
 :mod:`repro.scenarios` (declarative specs + Runner + typed results);
 this package keeps the paper's numbers (:mod:`~repro.analysis.paper_data`),
 the table renderer (:mod:`~repro.analysis.tables`), the sweep helpers
-(:mod:`~repro.analysis.sweeps`), the CLI front-end and the deprecated
-``run_tableN`` shims (:mod:`~repro.analysis.experiments`).
+(:mod:`~repro.analysis.sweeps`) and the CLI front-end.
 """
 
 from repro.analysis.paper_data import (
@@ -26,17 +25,6 @@ from repro.analysis.sweeps import (
     mms_delay_vs_load,
     npu_rate_vs_clock,
 )
-from repro.analysis.experiments import (
-    ExperimentReport,
-    run_figure1,
-    run_figure2,
-    run_headline,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-)
 
 __all__ = [
     "PAPER_TABLE1",
@@ -46,15 +34,6 @@ __all__ = [
     "PAPER_TABLE5",
     "format_table",
     "format_comparison",
-    "ExperimentReport",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-    "run_figure1",
-    "run_figure2",
-    "run_headline",
     "SweepSeries",
     "ascii_plot",
     "ddr_loss_vs_banks",

@@ -21,12 +21,9 @@ little throughput bookkeeping for robustness:
   as done; a re-run of an interrupted sweep skips everything already
   journaled (a torn write never passes ``read_json``, so a crash
   mid-write re-runs that task);
-* **lifecycle events + heartbeat documents** -- journaled sweeps write
-  every sweep/task transition to a shared ``events.jsonl``
-  (:mod:`repro.monitor.events`) and keep the per-task
-  ``<name>.heartbeat.json`` documents, both through one
-  :class:`~repro.monitor.events.SweepLog` code path, so a stalled or
-  crashed sweep can be diagnosed -- or watched live
+* **lifecycle events** -- journaled sweeps append every sweep/task
+  transition to a shared ``events.jsonl`` (:mod:`repro.monitor.events`),
+  so a stalled or crashed sweep can be diagnosed -- or watched live
   (``repro-analysis watch``) -- from the journal directory alone;
 * **resource profiles** -- with ``resources=True`` each worker reports
   its rusage delta (CPU seconds, max RSS, wall) alongside its result;
@@ -58,7 +55,7 @@ from repro.checkpoint.atomic import read_json, write_json_atomic
 from repro.checkpoint.faults import maybe_fault
 
 if TYPE_CHECKING:  # runtime import stays lazy (journaled sweeps only)
-    from repro.monitor.events import SweepLog
+    from repro.monitor.events import EventSink
 
 #: Main-loop poll interval (seconds).
 _TICK = 0.02
@@ -178,9 +175,6 @@ def run_tasks(fn: Callable[[Any], Dict[str, Any]],
 
     paths = [os.path.join(result_dir, _safe_name(name) + ".json")
              for name, _payload in tasks]
-    hb_paths = [os.path.join(result_dir,
-                             _safe_name(name) + ".heartbeat.json")
-                for name, _payload in tasks]
 
     pending: deque = deque()
     for idx, path in enumerate(paths):
@@ -196,18 +190,15 @@ def run_tasks(fn: Callable[[Any], Dict[str, Any]],
         else:
             pending.append(idx)
 
-    # Journaled sweeps report their lifecycle through one SweepLog:
-    # typed events on the shared events.jsonl plus the per-task
-    # heartbeat documents, derived from the same records.  Un-journaled
-    # throwaway sweeps have nobody to read either, so the monitoring
-    # machinery stays structurally absent (not even imported).
-    log: Optional["SweepLog"] = None
+    # Journaled sweeps report their lifecycle as typed events on the
+    # shared events.jsonl.  Un-journaled throwaway sweeps have nobody
+    # to read them, so the monitoring machinery stays structurally
+    # absent (not even imported).
+    sink: Optional["EventSink"] = None
     if journal_dir is not None:
-        from repro.monitor.events import EventSink, SweepLog, events_path
-        log = SweepLog(EventSink(events_path(result_dir)),
-                       [name for name, _payload in tasks],
-                       heartbeat_paths=hb_paths)
-        log.sweep("start", extra={
+        from repro.monitor.events import EventSink, events_path
+        sink = EventSink(events_path(result_dir))
+        sink.emit("sweep", "start", "sweep", extra={
             "tasks": len(tasks), "jobs": jobs,
             "names": [name for name, _payload in tasks],
             "skipped_from_journal": outcome.skipped_from_journal})
@@ -222,11 +213,11 @@ def run_tasks(fn: Callable[[Any], Dict[str, Any]],
 
     def note(idx: int, action: str,
              extra: Optional[Dict[str, Any]] = None) -> None:
-        """One task lifecycle transition, through the sweep log
-        (journaled sweeps only -- the throwaway tmpdir case has nobody
-        to read events or heartbeats)."""
-        if log is not None:
-            log.task(idx, action, attempts[idx], extra=extra)
+        """One task lifecycle event (journaled sweeps only -- the
+        throwaway tmpdir case has nobody to read events)."""
+        if sink is not None:
+            sink.emit("task", action, tasks[idx][0],
+                      attempt=attempts[idx], extra=extra)
 
     def settle(idx: int) -> None:
         """Fold the finished attempt's running time into the task's
@@ -365,15 +356,15 @@ def run_tasks(fn: Callable[[Any], Dict[str, Any]],
                         wall_clock_s=round(spent[idx], 3)
                         if attempts[idx] else None))
     finally:
-        if log is not None:
+        if sink is not None:
             extra = {"done": sum(1 for r in outcome.results
                                  if r is not None),
                      "failed": len(outcome.failures)}
             if outcome.interrupted is not None:
                 extra["interrupted"] = outcome.interrupted
-            log.sweep("finish" if outcome.ok else "fail", extra=extra)
-            if log.sink is not None:
-                log.sink.close()
+            sink.emit("sweep", "finish" if outcome.ok else "fail", "sweep",
+                      extra=extra)
+            sink.close()
         for signum, handler in old_handlers.items():
             signal.signal(signum, handler)
         if tmpdir is not None:

@@ -1,14 +1,17 @@
 """R3 -- atomic persistence: JSON reaches disk only via atomic.py.
 
-PR 6 made write-temp-fsync-rename (:mod:`repro.checkpoint.atomic`) the
-rule everywhere results persist: a reader (resumed sweep, CI diff,
-concurrent benchmark) must never observe a torn artifact.  This rule
-flags the two syntactic shapes that bypass it:
+Write-temp-fsync-rename (:mod:`repro.checkpoint.atomic`) is the rule
+everywhere results persist: a reader (resumed sweep, CI diff,
+concurrent benchmark) must never observe a torn artifact.  Append-only
+logs go through the same module's one line-atomic appender.  This rule
+flags the syntactic shapes that bypass either:
 
 * a direct ``json.dump(obj, fh)`` call,
 * ``fh.write(json.dumps(...))`` / ``fh.write(... json.dumps ...)``
   where ``fh`` is bound by ``with open(path, "w"/"a"/"x") as fh``
   in an enclosing statement,
+* an ``os.open(...)`` whose flags include ``os.O_APPEND`` -- a
+  hand-rolled appender beside ``JsonlAppender``,
 
 anywhere outside the configured sanctuary (``checkpoint/atomic.py``).
 """
@@ -45,6 +48,16 @@ def _is_write_open(node: ast.AST) -> bool:
             and any(ch in mode.value for ch in _WRITE_MODES))
 
 
+def _has_append_flag(node: ast.Call, aliases: Dict[str, str]) -> bool:
+    """True when an ``os.open`` call's flags mention ``os.O_APPEND``."""
+    flags = [kw.value for kw in node.keywords if kw.arg == "flags"]
+    for expr in node.args[1:2] + flags:
+        for sub in ast.walk(expr):
+            if resolve_call_chain(sub, aliases) == "os.O_APPEND":
+                return True
+    return False
+
+
 def _contains_json_dumps(node: ast.AST, aliases: Dict[str, str]) -> bool:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
@@ -59,7 +72,8 @@ class AtomicJsonRule(Rule):
     code = "R3"
     name = "atomic-json"
     summary = ("persisting JSON must go through checkpoint/atomic.py "
-               "(temp + fsync + rename), never a bare write")
+               "(temp + fsync + rename, or its O_APPEND line appender), "
+               "never a bare write")
     complements = ("crash-safe journal / torn-doc re-run tests "
                    "(tests/checkpoint/test_pool.py)")
 
@@ -87,6 +101,13 @@ class AtomicJsonRule(Rule):
                     module, node.lineno, node.col_offset, "json.dump",
                     "json.dump to an open file can be observed torn; "
                     "use repro.checkpoint.atomic.write_json_atomic")
+                continue
+            if qual == "os.open" and _has_append_flag(node, aliases):
+                yield self.finding(
+                    module, node.lineno, node.col_offset,
+                    "os.open(O_APPEND)",
+                    "hand-rolled O_APPEND writer; append JSON lines "
+                    "through repro.checkpoint.atomic.JsonlAppender")
                 continue
             if (isinstance(node.func, ast.Attribute)
                     and node.func.attr == "write"

@@ -3,7 +3,7 @@
 Slow-path observability substrate (never imported from hot paths):
 
 * :mod:`repro.monitor.events` -- schema-validated append-only JSONL
-  lifecycle log (:class:`EventSink`, :class:`Event`, :class:`SweepLog`);
+  lifecycle log (:class:`EventSink`, :class:`Event`);
 * :mod:`repro.monitor.resources` -- per-task rusage profiling
   (:class:`ResourceProfiler`);
 * :mod:`repro.monitor.metrics` -- Counter/Gauge/Rate registry with
@@ -20,7 +20,6 @@ from repro.monitor.events import (
     EVENTS_FILENAME,
     Event,
     EventSink,
-    SweepLog,
     events_path,
     read_events,
     validate_event_dict,
@@ -47,7 +46,6 @@ __all__ = [
     "EVENTS_FILENAME",
     "Event",
     "EventSink",
-    "SweepLog",
     "events_path",
     "read_events",
     "validate_event_dict",

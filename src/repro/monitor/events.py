@@ -11,8 +11,9 @@ future ``repro.serve`` daemon read.
 
 Design constraints, in order:
 
-* **line-atomic appends** -- the sink writes each event with one
-  ``os.write`` on an ``O_APPEND`` descriptor, so concurrent writers
+* **line-atomic appends** -- the sink writes each event as one line
+  through :class:`~repro.checkpoint.atomic.JsonlAppender` (one
+  ``os.write`` on an ``O_APPEND`` descriptor), so concurrent writers
   (pool parent + worker processes sharing one file) never interleave
   within a line and a reader never parses a half-written record beyond
   the final line of a crashed run (:func:`read_events` tolerates
@@ -33,13 +34,12 @@ compute "how long has this task been running").
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.checkpoint.atomic import write_json_atomic
+from repro.checkpoint.atomic import JsonlAppender, read_jsonl
 
 #: Schema version of one serialized event line.
 EVENT_SCHEMA = 1
@@ -169,22 +169,17 @@ class EventSink:
     """Append-only JSONL event writer (one per journal directory).
 
     Safe for several processes to hold sinks on the same path: each
-    event is serialized to one ``\\n``-terminated line and written with
-    a single ``os.write`` on an ``O_APPEND`` descriptor, which the
-    kernel appends indivisibly -- lines never interleave.  ``elapsed_s``
-    is monotonic time since *this* sink was created, so the pool parent
-    (which owns the sweep clock) and short-lived workers report
-    comparable timelines via ``t_wall``.
+    event is one line written through
+    :class:`~repro.checkpoint.atomic.JsonlAppender`, so lines never
+    interleave.  ``elapsed_s`` is monotonic time since *this* sink was
+    created, so the pool parent (which owns the sweep clock) and
+    short-lived workers report comparable timelines via ``t_wall``.
     """
 
     def __init__(self, path: str,
                  _t0: Optional[float] = None) -> None:
-        self.path = os.fspath(path)
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._fd: Optional[int] = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        self._out = JsonlAppender(path)
+        self.path = self._out.path
         self._t0 = time.monotonic() if _t0 is None else _t0
 
     # ------------------------------------------------------------ emit
@@ -210,15 +205,10 @@ class EventSink:
 
     def append(self, event: Event) -> None:
         """Append an already-built event as one atomic line."""
-        if self._fd is None:
-            raise ValueError(f"EventSink({self.path!r}) is closed")
-        line = json.dumps(event.to_dict(), separators=(",", ":")) + "\n"
-        os.write(self._fd, line.encode("utf-8"))
+        self._out.append(event.to_dict())
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._out.close()
 
     def __enter__(self) -> "EventSink":
         return self
@@ -235,61 +225,4 @@ def read_events(path: str, strict: bool = False) -> List[Event]:
     appends should make impossible -- raises, or every problem raises
     immediately under ``strict``.
     """
-    events: List[Event] = []
-    fh: IO[str]
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for i, line in enumerate(lines):
-        try:
-            events.append(Event.from_dict(json.loads(line)))
-        except ValueError:
-            if not strict and i == len(lines) - 1:
-                break  # torn final line: the writer died mid-append
-            raise ValueError(
-                f"{path}:{i + 1}: invalid event line") from None
-    return events
-
-
-class SweepLog:
-    """The sweep pool's one code path for task lifecycle reporting.
-
-    Every transition goes through :meth:`task`, which appends the
-    typed event to the shared ``events.jsonl`` *and* rewrites the
-    task's ``<name>.heartbeat.json`` document -- the PR 8 format,
-    now derived from the same :class:`Event` objects so the two views
-    cannot drift.  With no sink (un-journaled throwaway sweeps) every
-    method is a no-op.
-    """
-
-    def __init__(self, sink: Optional[EventSink],
-                 names: Sequence[str],
-                 heartbeat_paths: Optional[Sequence[str]] = None) -> None:
-        self.sink = sink
-        self.names = list(names)
-        self.heartbeat_paths = list(heartbeat_paths) \
-            if heartbeat_paths is not None else None
-        self._heartbeats: Dict[int, List[Dict[str, Any]]] = {}
-
-    def sweep(self, action: str, *,
-              extra: Optional[Dict[str, Any]] = None) -> None:
-        """One sweep-level event (start / finish / fail)."""
-        if self.sink is not None:
-            self.sink.emit("sweep", action, "sweep", extra=extra)
-
-    def task(self, idx: int, action: str, attempt: int, *,
-             extra: Optional[Dict[str, Any]] = None) -> None:
-        """One task transition: event line + heartbeat rewrite."""
-        if self.sink is None:
-            return
-        event = self.sink.emit("task", action, self.names[idx],
-                               attempt=attempt, extra=extra)
-        if self.heartbeat_paths is None:
-            return
-        entries = self._heartbeats.setdefault(idx, [])
-        entries.append({"event": event.action, "attempt": attempt,
-                        "elapsed_s": round(event.elapsed_s, 3)})
-        write_json_atomic(self.heartbeat_paths[idx],
-                          {"schema": 1, "name": self.names[idx],
-                           "events": entries})
+    return read_jsonl(path, Event.from_dict, strict, "event")

@@ -1,14 +1,12 @@
 """Live sweep progress: journal-directory state, tables, metrics.
 
 :func:`load_sweep` folds a journal directory's monitoring artifacts --
-the shared ``events.jsonl`` (preferred), the per-task
-``<name>.heartbeat.json`` documents (legacy fallback for pre-event
-journals) and the journaled result documents -- into one
-:class:`SweepStatus`: per-task terminal/live state, attempts, wall/CPU,
-stragglers and an ETA.  The renderers turn that into the ``watch``
-table, the ``sweep-status`` summary and the ``report`` timeline;
-:func:`build_registry` turns it into a metrics registry for Prometheus
-/ JSON exposition.
+the shared ``events.jsonl`` and the journaled result documents -- into
+one :class:`SweepStatus`: per-task terminal/live state, attempts,
+wall/CPU, stragglers and an ETA.  The renderers turn that into the
+``watch`` table, the ``sweep-status`` summary and the ``report``
+timeline; :func:`build_registry` turns it into a metrics registry for
+Prometheus / JSON exposition.
 
 Everything here is read-side tooling: it observes a sweep another
 process is running (or ran), so it works on live directories, finished
@@ -85,7 +83,6 @@ class SweepStatus:
     """Everything the watch/status renderers need about one sweep."""
 
     journal_dir: str
-    source: str                      # "events" | "heartbeats"
     tasks: List[TaskProgress]
     events: List[Event]
     total: int
@@ -207,42 +204,6 @@ def _fold_events(events: List[Event], now_wall: float
         interrupted
 
 
-def _fold_heartbeats(journal_dir: str) -> List[TaskProgress]:
-    """Legacy fallback: reconstruct task state from the per-task
-    heartbeat documents of a pre-events journal."""
-    tasks: List[TaskProgress] = []
-    for entry in sorted(os.listdir(journal_dir)):
-        if not entry.endswith(".heartbeat.json"):
-            continue
-        try:
-            with open(os.path.join(journal_dir, entry),
-                      encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        t = TaskProgress(name=str(doc.get("name", entry)))
-        open_since: Optional[float] = None
-        for hb in doc.get("events", []):
-            action = hb.get("event")
-            elapsed = hb.get("elapsed_s", 0.0)
-            t.attempts = max(t.attempts, hb.get("attempt", 0))
-            if action == "start":
-                t.state = "running"
-                open_since = elapsed
-            elif action in ("retry", "finish", "fail"):
-                if open_since is not None:
-                    t.wall_s += max(elapsed - open_since, 0.0)
-                    open_since = None
-                if action == "retry":
-                    t.state = "retrying"
-                    t.retries.append((hb.get("attempt", t.attempts), ""))
-                else:
-                    t.state = "done" if action == "finish" else "failed"
-        t.wall_s = round(t.wall_s, 3)
-        tasks.append(t)
-    return tasks
-
-
 def _result_doc(journal_dir: str, name: str) -> Optional[Dict[str, Any]]:
     path = os.path.join(journal_dir, safe_name(name) + ".json")
     try:
@@ -269,30 +230,35 @@ def load_sweep(journal_dir: str,
     """
     if not os.path.isdir(journal_dir):
         raise ValueError(f"{journal_dir}: not a directory")
-    now = time.time() if now_wall is None else now_wall
-
     ev_path = events_path(journal_dir)
-    if os.path.exists(ev_path):
-        events = read_events(ev_path)
-        tasks, jobs, _announced, skipped, interrupted = _fold_events(
-            events, now)
-        source = "events"
-    else:
-        events = []
-        tasks, jobs, skipped, interrupted = \
-            _fold_heartbeats(journal_dir), None, 0, None
-        source = "heartbeats"
-    if not tasks and not events:
+    events = read_events(ev_path) if os.path.exists(ev_path) else []
+    if not events:
         raise ValueError(
-            f"{journal_dir}: no {EVENTS_FILENAME} and no heartbeat "
-            f"documents -- not a monitored journal directory")
+            f"{journal_dir}: no {EVENTS_FILENAME} events -- not a "
+            f"monitored journal directory")
+    return _status(journal_dir, events, now_wall, cross_check=True)
+
+
+def status_from_events(path: str,
+                       now_wall: Optional[float] = None) -> SweepStatus:
+    """A :class:`SweepStatus` from a bare ``events.jsonl`` file (no
+    journal directory context: no result-doc cross-check)."""
+    return _status(os.path.dirname(path) or ".", read_events(path),
+                   now_wall, cross_check=False)
+
+
+def _status(journal_dir: str, events: List[Event],
+            now_wall: Optional[float], cross_check: bool) -> SweepStatus:
+    now = time.time() if now_wall is None else now_wall
+    tasks, jobs, _announced, skipped, interrupted = _fold_events(
+        events, now)
 
     # Cross-check against the journaled result documents: a task whose
     # result landed is done even if its finish event was lost (and the
     # valid results are the sweep's warm cache).
     cache: set[str] = set()
     for task in tasks:
-        doc = _result_doc(journal_dir, task.name)
+        doc = _result_doc(journal_dir, task.name) if cross_check else None
         if doc is None:
             continue
         if _ERROR_KEY in doc:
@@ -304,28 +270,11 @@ def load_sweep(journal_dir: str,
                 task.state = "done"
             cache.add(_spec_hash(doc))
 
-    status = SweepStatus(journal_dir=journal_dir, source=source,
-                         tasks=tasks, events=events, total=len(tasks),
-                         jobs=jobs, skipped_from_journal=skipped,
+    status = SweepStatus(journal_dir=journal_dir, tasks=tasks,
+                         events=events, total=len(tasks), jobs=jobs,
+                         skipped_from_journal=skipped,
                          interrupted=interrupted,
                          cache_ready_specs=len(cache), now_wall=now)
-    _flag_stragglers(status)
-    return status
-
-
-def status_from_events(path: str,
-                       now_wall: Optional[float] = None) -> SweepStatus:
-    """A :class:`SweepStatus` from a bare ``events.jsonl`` file (no
-    journal directory context: no result-doc cross-check)."""
-    now = time.time() if now_wall is None else now_wall
-    events = read_events(path)
-    tasks, jobs, _announced, skipped, interrupted = _fold_events(
-        events, now)
-    status = SweepStatus(journal_dir=os.path.dirname(path) or ".",
-                         source="events", tasks=tasks, events=events,
-                         total=len(tasks), jobs=jobs,
-                         skipped_from_journal=skipped,
-                         interrupted=interrupted, now_wall=now)
     _flag_stragglers(status)
     return status
 
@@ -396,7 +345,7 @@ def render_watch(status: SweepStatus) -> str:
             + (f", jobs={status.jobs}" if status.jobs else "")
             + (f", {status.skipped_from_journal} resumed from journal"
                if status.skipped_from_journal else "")
-            + f"  [{status.source}: {len(status.events)} events, "
+            + f"  [{len(status.events)} events, "
               f"{status.events_per_second():.2f}/s]")
     lines = [head]
     width = max([len(t.name) for t in status.tasks] + [4])
@@ -437,7 +386,7 @@ def render_status(status: SweepStatus) -> str:
     retries = sum(len(t.retries) for t in status.tasks)
     lines.append(f"tasks: {status.total} total -- {summary}"
                  + (f" ({retries} retries)" if retries else ""))
-    lines.append(f"events: {len(status.events)} from {status.source}, "
+    lines.append(f"events: {len(status.events)}, "
                  f"{status.events_per_second():.2f}/s; "
                  f"cache-ready specs: {status.cache_ready_specs}")
     if done:
@@ -466,8 +415,7 @@ def render_status(status: SweepStatus) -> str:
 def render_timeline(status: SweepStatus) -> str:
     """The ``report`` view of a journal: chronological sweep timeline,
     per-task wall/CPU table and retry provenance."""
-    lines = [f"sweep timeline ({status.source}, "
-             f"{len(status.events)} events):"]
+    lines = [f"sweep timeline ({len(status.events)} events):"]
     for event in status.events:
         detail = ""
         if event.kind == "task":
@@ -484,8 +432,6 @@ def render_timeline(status: SweepStatus) -> str:
             detail = f"  {cells}" if cells else ""
         lines.append(f"  {event.elapsed_s:>9.3f}s  {event.kind}."
                      f"{event.action}{detail}")
-    if not status.events:
-        lines.append("  (no event log; heartbeat reconstruction)")
     lines.append("per-task:")
     width = max([len(t.name) for t in status.tasks] + [4])
     for task in status.tasks:

@@ -4,8 +4,7 @@ Tables 1-5, the architecture figures, the headline claims, the
 parameter sweeps and the ablations are all declared here as
 :class:`ScenarioSpec` values bound to executors.  Executors compute
 *data* (metrics + presentation blocks + paper deltas); rendering is the
-presenter's job, and the historical ``run_tableN`` drivers are now thin
-shims over these scenarios (``repro.analysis.experiments``).
+presenter's job.
 
 Engine semantics per workload:
 

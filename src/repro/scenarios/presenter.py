@@ -3,9 +3,7 @@
 Rendering is a presentation concern over :class:`RunResult` /
 :class:`Block` data -- executors never format anything, so the same
 result can be rendered, serialized to JSON, or compared numerically.
-The actual alignment code remains :mod:`repro.analysis.tables`, which
-keeps the rendered output byte-identical to the historical
-``run_tableN`` drivers (asserted by the golden tests).
+The actual alignment code lives in :mod:`repro.analysis.tables`.
 """
 
 from __future__ import annotations

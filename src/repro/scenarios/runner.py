@@ -1,8 +1,8 @@
 """The Runner: execute a scenario spec, return a typed result.
 
 The Runner is the single execution path for every published artifact:
-the CLI, the benchmarks, the deprecated ``run_tableN`` shims and the
-examples all funnel through :meth:`Runner.run`.  Knob overrides
+the CLI, the benchmarks, the serving daemon and the examples all
+funnel through :meth:`Runner.run`.  Knob overrides
 (``engine``, ``seed``, ``budget``/``fast``, ``mms``) are applied through
 :meth:`ScenarioSpec.with_options`, so each scenario honors exactly the
 knobs it declares.

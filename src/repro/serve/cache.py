@@ -112,14 +112,17 @@ class ResultCache:
         return os.path.join(self.root, key + ".json")
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The cached document, or None on a miss.  An entry that does
+        not parse as a JSON object (truncated or otherwise corrupt on
+        disk) is a miss too: the re-run's atomic :meth:`put` replaces
+        it."""
+        path = self._path(key)
         try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except FileNotFoundError:
+        except (FileNotFoundError, ValueError):
             return None
-        if not isinstance(doc, dict):
-            raise ValueError(f"cache entry {key} is not an object")
-        return doc
+        return doc if isinstance(doc, dict) else None
 
     def put(self, key: str, doc: Dict[str, Any]) -> None:
         write_json_atomic(self._path(key), canonical_result_dict(doc))

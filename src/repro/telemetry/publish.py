@@ -14,9 +14,10 @@ byte-identical to ``RunResult.metrics["telemetry"]``.
 
 Design constraints, mirroring :mod:`repro.monitor.events`:
 
-* **line-atomic appends** -- each frame is one ``os.write`` on an
-  ``O_APPEND`` descriptor, so a reader tailing the file never sees a
-  torn frame beyond the final line of a crashed worker
+* **line-atomic appends** -- each frame is one line written through
+  :class:`~repro.checkpoint.atomic.JsonlAppender` (one ``os.write`` on
+  an ``O_APPEND`` descriptor), so a reader tailing the file never sees
+  a torn frame beyond the final line of a crashed worker
   (:func:`read_frames` tolerates exactly that, and the stream endpoint
   only forwards complete lines);
 * **replay-deterministic ordering** -- frames are keyed by the
@@ -33,8 +34,6 @@ Design constraints, mirroring :mod:`repro.monitor.events`:
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.commands import CommandType
@@ -66,24 +65,19 @@ class FramePublisher:
                  every: int = DEFAULT_PUBLISH_EVERY) -> None:
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
-        self.path = os.fspath(path)
+        # Lazy: the catalog imports this module on every registry build,
+        # and plain runs must not pay for loading repro.checkpoint.
+        from repro.checkpoint.atomic import JsonlAppender
+        self._out = JsonlAppender(path, truncate=True)
+        self.path = self._out.path
         self.every = every
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._fd: Optional[int] = os.open(
-            self.path,
-            os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND, 0o644)
         self.frames = 0
 
     def publish(self, frame: Dict[str, Any]) -> None:
         """Stamp and append one frame as a single atomic line."""
-        if self._fd is None:
-            raise ValueError(f"FramePublisher({self.path!r}) is closed")
         doc = {"schema": FRAME_SCHEMA, "frame": self.frames}
         doc.update(frame)
-        line = json.dumps(doc, separators=(",", ":")) + "\n"
-        os.write(self._fd, line.encode("utf-8"))
+        self._out.append(doc)
         self.frames += 1
 
     def publish_done(self, scenario: str, commands: Optional[int],
@@ -97,9 +91,7 @@ class FramePublisher:
                       if telemetry is not None else None})
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._out.close()
 
     def __enter__(self) -> "FramePublisher":
         return self
@@ -176,24 +168,15 @@ def read_frames(path: str, strict: bool = False) -> List[Dict[str, Any]]:
     any other malformed line raises -- or every problem raises
     immediately under ``strict``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    frames: List[Dict[str, Any]] = []
-    for i, line in enumerate(lines):
-        try:
-            doc = json.loads(line)
-            problems = validate_frame_dict(doc)
-            if problems:
-                raise ValueError("; ".join(problems))
-        except ValueError:
-            if not strict and i == len(lines) - 1:
-                break
-            raise ValueError(
-                f"{path}:{i + 1}: invalid frame line") from None
-        frames.append(doc)
-    return frames
+    from repro.checkpoint.atomic import read_jsonl
+    return read_jsonl(path, _checked_frame, strict, "frame")
+
+
+def _checked_frame(doc: Any) -> Dict[str, Any]:
+    problems = validate_frame_dict(doc)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return doc
 
 
 def validate_frame_dict(d: Any) -> List[str]:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.checkpoint.faults import _claim, write_plan
 from repro.checkpoint.pool import PoolOutcome, TaskFailure, run_tasks
+from repro.monitor.events import read_events
 
 
 def _double(payload):
@@ -141,7 +142,18 @@ def test_torn_journal_entries_rerun(tmp_path):
         assert json.load(fh) == {"value": 2}
 
 
-# ------------------------------------------------------------ heartbeats
+# ------------------------------------------------------ lifecycle events
+
+def _task_events(journal, name):
+    """``name``'s task events from the journal's shared event log."""
+    return [e for e in read_events(os.path.join(journal, "events.jsonl"))
+            if e.kind == "task" and e.name == name]
+
+
+def _no_heartbeat_files(journal):
+    return not [f for f in os.listdir(journal)
+                if f.endswith(".heartbeat.json")]
+
 
 def test_heartbeats_record_lifecycle_events(tmp_path):
     journal = str(tmp_path / "journal")
@@ -150,17 +162,14 @@ def test_heartbeats_record_lifecycle_events(tmp_path):
     out = run_tasks(_double, TASKS[:3], jobs=2, retries=2,
                     backoff_s=0.0, journal_dir=journal, fault_plan=plan)
     assert out.ok
-    with open(os.path.join(journal, "t1.heartbeat.json")) as fh:
-        doc = json.load(fh)
-    assert doc["schema"] == 1 and doc["name"] == "t1"
-    events = [(e["event"], e["attempt"]) for e in doc["events"]]
-    assert events == [("start", 1), ("retry", 1), ("start", 2),
-                      ("finish", 2)]
-    elapsed = [e["elapsed_s"] for e in doc["events"]]
+    events = _task_events(journal, "t1")
+    assert [(e.action, e.attempt) for e in events] == [
+        ("start", 1), ("retry", 1), ("start", 2), ("finish", 2)]
+    elapsed = [e.elapsed_s for e in events]
     assert elapsed == sorted(elapsed) and elapsed[0] >= 0
-    with open(os.path.join(journal, "t0.heartbeat.json")) as fh:
-        smooth = [e["event"] for e in json.load(fh)["events"]]
+    smooth = [e.action for e in _task_events(journal, "t0")]
     assert smooth == ["start", "finish"]
+    assert _no_heartbeat_files(journal)
 
 
 def test_heartbeats_mark_exhausted_tasks_failed(tmp_path):
@@ -168,11 +177,10 @@ def test_heartbeats_mark_exhausted_tasks_failed(tmp_path):
     out = run_tasks(_explode, [("bad", 0)], jobs=1, retries=1,
                     backoff_s=0.0, journal_dir=journal)
     assert not out.ok
-    with open(os.path.join(journal, "bad.heartbeat.json")) as fh:
-        events = [(e["event"], e["attempt"])
-                  for e in json.load(fh)["events"]]
+    events = [(e.action, e.attempt) for e in _task_events(journal, "bad")]
     assert events == [("start", 1), ("retry", 1), ("start", 2),
                       ("fail", 2)]
+    assert _no_heartbeat_files(journal)
 
 
 def test_failures_carry_wall_clock():

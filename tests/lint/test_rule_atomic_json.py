@@ -87,3 +87,55 @@ def test_non_json_write_clean(config):
                 fh.write(text)
         """, config)
     assert findings == []
+
+
+def test_append_mode_os_open_flagged(config):
+    findings = lint(
+        """
+        import os
+        from os import O_APPEND, O_CREAT
+
+        def appender(path):
+            return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def keyword_flags(path):
+            return os.open(path, flags=os.O_WRONLY | O_APPEND | O_CREAT)
+        """, config)
+    assert [f.symbol for f in findings] == ["os.open(O_APPEND)"] * 2
+    assert "JsonlAppender" in findings[0].message
+
+
+def test_aliased_os_open_append_flagged(config):
+    findings = lint(
+        """
+        import os as _os
+
+        def appender(path):
+            return _os.open(path, _os.O_APPEND | _os.O_WRONLY, 0o644)
+        """, config)
+    assert [f.symbol for f in findings] == ["os.open(O_APPEND)"]
+
+
+def test_non_append_os_open_clean(config):
+    findings = lint(
+        """
+        import os
+
+        def claim(path):
+            return os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+
+        def reader(path):
+            return os.open(path, os.O_RDONLY)
+        """, config)
+    assert findings == []
+
+
+def test_append_primitive_exempt_in_sanctuary(config):
+    src = """
+        import os
+
+        def appender(path):
+            return os.open(path, os.O_WRONLY | os.O_APPEND, 0o644)
+        """
+    assert lint(src, config, path="repro/checkpoint/atomic.py") == []
+    assert len(lint(src, config)) == 1

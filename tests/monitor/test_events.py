@@ -1,5 +1,5 @@
 """The structured event log: round-trip, validation, sink atomicity,
-torn-line tolerance, and the SweepLog heartbeat unification."""
+torn-line tolerance."""
 
 import json
 import os
@@ -12,7 +12,6 @@ from repro.monitor.events import (
     EVENT_SCHEMA,
     Event,
     EventSink,
-    SweepLog,
     events_path,
     read_events,
     validate_event_dict,
@@ -155,51 +154,3 @@ def test_torn_middle_line_raises(tmp_path):
 def test_events_path_is_canonical(tmp_path):
     assert events_path(str(tmp_path)) \
         == os.path.join(str(tmp_path), "events.jsonl")
-
-
-# ------------------------------------------------------- the SweepLog
-
-
-def test_sweeplog_writes_events_and_legacy_heartbeats(tmp_path):
-    """Satellite contract: heartbeat documents come from the same
-    records as the event log -- same format as the pre-monitor writer,
-    so existing journal tooling keeps working."""
-    hb = [str(tmp_path / "t0.heartbeat.json"),
-          str(tmp_path / "t1.heartbeat.json")]
-    sink = EventSink(events_path(str(tmp_path)))
-    log = SweepLog(sink, ["t0", "t 1"], heartbeat_paths=hb)
-    log.sweep("start", extra={"tasks": 2, "jobs": 1,
-                              "names": ["t0", "t 1"]})
-    log.task(0, "start", 1)
-    log.task(1, "start", 1)
-    log.task(0, "finish", 1)
-    log.task(1, "retry", 1, extra={"reason": "boom"})
-    log.task(1, "start", 2)
-    log.task(1, "finish", 2)
-    log.sweep("finish", extra={"done": 2, "failed": 0})
-    sink.close()
-
-    events = read_events(events_path(str(tmp_path)))
-    assert [(e.kind, e.action) for e in events] == [
-        ("sweep", "start"), ("task", "start"), ("task", "start"),
-        ("task", "finish"), ("task", "retry"), ("task", "start"),
-        ("task", "finish"), ("sweep", "finish")]
-    assert events[4].extra == {"reason": "boom"}
-    assert events[4].attempt == 1
-
-    with open(hb[1], encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["schema"] == 1 and doc["name"] == "t 1"
-    assert [(e["event"], e["attempt"]) for e in doc["events"]] \
-        == [("start", 1), ("retry", 1), ("start", 2), ("finish", 2)]
-    elapsed = [e["elapsed_s"] for e in doc["events"]]
-    assert elapsed == sorted(elapsed)
-
-
-def test_sweeplog_without_sink_is_a_noop(tmp_path):
-    log = SweepLog(None, ["t0"],
-                   heartbeat_paths=[str(tmp_path / "t0.heartbeat.json")])
-    log.sweep("start")
-    log.task(0, "start", 1)
-    log.task(0, "finish", 1)
-    assert list(tmp_path.iterdir()) == []

@@ -179,6 +179,7 @@ def test_publish_is_structurally_absent_from_plain_runs(tmp_path):
         "Runner().run('latency-lqd-burst', budget='fast')\n"
         "assert 'repro.serve' not in sys.modules\n"
         "assert 'asyncio' not in sys.modules\n"
+        "assert 'repro.checkpoint' not in sys.modules\n"
         "print('structurally absent')\n"
     )
     env = dict(os.environ, PYTHONPATH="src")

@@ -2,6 +2,7 @@
 fault-tolerant pool, cache identity, service metrics."""
 
 import json
+import os
 
 import pytest
 
@@ -63,6 +64,31 @@ def test_cache_hit_is_byte_identical(service):
     assert frames[0]["telemetry"] == first.result["metrics"]["telemetry"]
     # execute on a cached record is a no-op
     assert service.execute(second.run_id).state == "done"
+
+
+def test_truncated_cache_entry_is_a_miss_and_rerun(service):
+    """A cache entry torn on disk must not wedge its key: the next
+    submission misses, re-runs, and the atomic put restores the
+    original bytes."""
+    first = service.submit("latency-lqd-burst", budget="fast")
+    service.execute(first.run_id)
+    path = os.path.join(service.cache.root, first.cache_key + ".json")
+    with open(path, "rb") as fh:
+        original = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(original[:len(original) // 2])
+
+    again = service.submit("latency-lqd-burst", budget="fast")
+    assert not again.cached
+    assert again.state == "pending"
+    service.execute(again.run_id)
+    assert again.state == "done"
+    assert json.dumps(again.result, sort_keys=True) == json.dumps(
+        first.result, sort_keys=True)
+    with open(path, "rb") as fh:
+        assert fh.read() == original
+    # the repaired entry serves the next submission from the cache
+    assert service.submit("latency-lqd-burst", budget="fast").cached
 
 
 def test_cache_survives_service_restart(tmp_path):
