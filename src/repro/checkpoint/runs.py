@@ -422,11 +422,11 @@ class StreamRun:
         self.eng.run(horizon)
         if self.workload == "load":
             return harnesses.assemble_load_result(
-                self.eng, self.probe, horizon, self.config,
-                p["warmup_volleys"], p["offered_gbps"])
+                self.eng, self.probe, horizon, p["warmup_volleys"],
+                p["offered_gbps"])
         if self.workload == "saturation":
             return harnesses.assemble_saturation_result(
-                self.eng, self.probe, horizon, self.config)
+                self.eng, self.probe, horizon)
         if self.workload == "overload":
             return harnesses.assemble_overload_result(
                 self.eng, self.config, p["shape"], self.store, horizon,

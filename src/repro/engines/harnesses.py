@@ -26,9 +26,8 @@ kernel harnesses route ``engine="fast"`` here whenever
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.latency import LatencyBreakdown
 from repro.core.mms import BITS_PER_OP, MmsConfig, MmsLoadResult
 from repro.core.workloads import (
     LOAD_LAG_VOLLEYS,
@@ -54,8 +53,6 @@ SATURATION_HORIZON_PS = 60 * SEC
 
 #: The completion-record fields the Table 5 breakdown folds read.
 _CYCLES = itemgetter(REC_FIFO, REC_EXECUTION, REC_DATA, REC_E2E)
-_TIMED_CYCLES = itemgetter(REC_TIME, REC_FIFO, REC_EXECUTION, REC_DATA,
-                           REC_E2E)
 
 
 def _replay(eng: StreamMms, probe, horizon: int
@@ -93,38 +90,51 @@ def load_horizon_ps(num_volleys: int, volley_period_ps: int) -> int:
     return (num_volleys + 64) * volley_period_ps + 10 * SEC // 1000
 
 
-def assemble_load_result(eng: StreamMms, probe, horizon: int,
-                         config: MmsConfig, warmup_volleys: int,
-                         offered_gbps: float) -> MmsLoadResult:
-    """Replay the finished run's records through the exact warm-up
-    windowing of ``run_load``'s recording hook: every record advances
-    the full-run breakdown and the last-seen timestamp; the warm
-    recorder starts after ``warmup_volleys * 4`` records."""
-    breakdown = LatencyBreakdown(eng.clock, keep_samples=config.keep_samples)
-    warm = LatencyBreakdown(eng.clock, keep_samples=config.keep_samples)
-    t0 = None
-    t_last = 0
-    boundary = warmup_volleys * 4
-    for time_ps, fifo_c, exec_c, data_c, e2e_c in \
-            map(_TIMED_CYCLES, _replay(eng, probe, horizon)):
-        breakdown.record_parts(fifo_c, exec_c, data_c, e2e_c)
-        t_last = time_ps
-        if breakdown.count == boundary:
-            t0 = time_ps
-        if t0 is not None and breakdown.count > boundary:
-            warm.record_parts(fifo_c, exec_c, data_c, e2e_c)
+def fold_cycle_means(records: Sequence[CompletionRecord]
+                     ) -> Tuple[int, float, float, float, float]:
+    """``(count, fifo, execution, data, end_to_end)``: the record count
+    and the mean of each cycle field, in one pass.
 
-    elapsed = t_last - (t0 or 0)
-    use = warm if warm.count else breakdown
-    row = use.row()
+    Each mean follows :class:`~repro.sim.stats.RunningStats`' exact
+    recurrence ``m += (x - m) / n``, so it is bit-identical to the mean
+    of the kernel path's :class:`~repro.core.latency.LatencyBreakdown`
+    fed the same values in the same order.
+    """
+    n = 0
+    fifo = execution = data = e2e = 0.0
+    for fifo_c, exec_c, data_c, e2e_c in map(_CYCLES, records):
+        n += 1
+        fifo += (fifo_c - fifo) / n
+        execution += (exec_c - execution) / n
+        data += (data_c - data) / n
+        e2e += (e2e_c - e2e) / n
+    return n, fifo, execution, data, e2e
+
+
+def assemble_load_result(eng: StreamMms, probe, horizon: int,
+                         warmup_volleys: int,
+                         offered_gbps: float) -> MmsLoadResult:
+    """Fold the finished run's records with the exact warm-up windowing
+    of ``run_load``'s recording hook: the warm window is every record
+    after the first ``warmup_volleys * 4`` (``t0`` is the time of the
+    last record before it), or every record when none lies beyond it;
+    ``t_last`` is the time of the last record."""
+    records = _replay(eng, probe, horizon)
+    boundary = warmup_volleys * 4
+    t_last = records[-1][REC_TIME] if records else 0
+    t0 = records[boundary - 1][REC_TIME] \
+        if 0 < boundary <= len(records) else 0
+    window = records[boundary:] if 0 <= boundary < len(records) \
+        else records
+    count, fifo, execution, data, e2e = fold_cycle_means(window)
     return MmsLoadResult(
         offered_gbps=offered_gbps,
-        completed_ops=use.count,
-        elapsed_ps=elapsed,
-        fifo_cycles=row["fifo"],
-        execution_cycles=row["execution"],
-        data_cycles=row["data"],
-        end_to_end_cycles=use.end_to_end.mean,
+        completed_ops=count,
+        elapsed_ps=t_last - t0,
+        fifo_cycles=fifo,
+        execution_cycles=execution,
+        data_cycles=data,
+        end_to_end_cycles=e2e,
         engine="fast",
     )
 
@@ -150,8 +160,8 @@ def stream_run_load(offered_gbps: float, *, num_volleys: int,
 
     horizon = load_horizon_ps(num_volleys, volley_period_ps)
     eng.run(horizon)
-    return assemble_load_result(eng, probe, horizon, config,
-                                warmup_volleys, offered_gbps)
+    return assemble_load_result(eng, probe, horizon, warmup_volleys,
+                                offered_gbps)
 
 
 # ================================================== saturation pacing
@@ -161,26 +171,22 @@ def saturation_prefill_packets(per_port: int, active_flows: int) -> int:
     return per_port * 2 // active_flows + 2
 
 
-def assemble_saturation_result(eng: StreamMms, probe, horizon: int,
-                               config: MmsConfig) -> MmsLoadResult:
-    breakdown = LatencyBreakdown(eng.clock, keep_samples=config.keep_samples)
-    for fifo_c, exec_c, data_c, e2e_c in \
-            map(_CYCLES, _replay(eng, probe, horizon)):
-        breakdown.record_parts(fifo_c, exec_c, data_c, e2e_c)
-    row = breakdown.row()
+def assemble_saturation_result(eng: StreamMms, probe, horizon: int
+                               ) -> MmsLoadResult:
+    count, fifo, execution, data, e2e = \
+        fold_cycle_means(_replay(eng, probe, horizon))
     # the DQM runs back-to-back under saturation (see
     # core.mms._last_execution_ps)
-    elapsed = round(eng.commands_executed
-                    * breakdown.execution.mean
+    elapsed = round(eng.commands_executed * execution
                     * eng.clock.period_ps)
     return MmsLoadResult(
         offered_gbps=float("inf"),
-        completed_ops=breakdown.count,
+        completed_ops=count,
         elapsed_ps=elapsed,
-        fifo_cycles=row["fifo"],
-        execution_cycles=row["execution"],
-        data_cycles=row["data"],
-        end_to_end_cycles=breakdown.end_to_end.mean,
+        fifo_cycles=fifo,
+        execution_cycles=execution,
+        data_cycles=data,
+        end_to_end_cycles=e2e,
         engine="fast",
     )
 
@@ -201,7 +207,7 @@ def stream_run_saturation(*, num_commands: int, config: MmsConfig,
                                            active_flows))
     horizon = SATURATION_HORIZON_PS
     eng.run(horizon)
-    return assemble_saturation_result(eng, probe, horizon, config)
+    return assemble_saturation_result(eng, probe, horizon)
 
 
 # ==================================================== overload pacing

@@ -14,9 +14,9 @@ with ``anchors_in_memory``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.queueing.pointer_memory import PointerMemory
+from repro.queueing.pointer_memory import PointerMemory, access_pattern
 
 #: Null link encoding (no slot 0 ambiguity: we bias stored links by +1).
 NIL = 0
@@ -80,6 +80,15 @@ class FreeList:
         # True while the chain is exactly the boot-time sequential one
         # (0 -> 1 -> ... -> n-1); lets reserve() skip the chain walk
         self._virgin = False
+        # the register-anchor pop/push access patterns (R next[head];
+        # W next[slot] and, onto a non-empty list, W next[tail])
+        self._pop_pattern = access_pattern(f"R {next_region}")
+        self._push_patterns = (access_pattern(f"W {next_region}"),
+                               access_pattern(f"W {next_region}",
+                                              f"W {next_region}"))
+        # the next region's base and extent, resolved by initialize()
+        self._base = 0
+        self._extent = 0
 
     # ------------------------------------------------------------ set-up
 
@@ -95,6 +104,8 @@ class FreeList:
         self.mem.bulk_update(self.next_region,
                              list(zip(range(n - 1), range(2, n + 1))))
         self.mem.bulk_update(self.next_region, [(n - 1, NIL)])
+        region = self.mem.region(self.next_region)
+        self._base, self._extent = region.base, region.words
         self._store_head(self._enc(0))
         self._store_tail(self._enc(n - 1))
         self.free_count = n
@@ -107,35 +118,53 @@ class FreeList:
         """Allocate one slot ("Dequeue Free List").
 
         Access pattern (anchors in memory): R head, R next[head], W head.
-        With register anchors: R next[head] only.  The register-anchor
-        variant is the MMS per-command hot path and avoids the anchor
-        helper indirection.
+        With register anchors: R next[head] only -- the MMS per-command
+        path, which is :meth:`take` plus one :meth:`PointerMemory.charge`.
+        """
+        mem = self.mem
+        if not self.anchors_in_memory:
+            slot = self.take(mem.sram._words)
+            mem.charge(self._pop_pattern, (slot,))
+            return slot
+        self._require_init()
+        head = self._load_head()
+        if head == NIL:
+            raise self._exhausted()
+        self._virgin = False
+        slot = head - 1
+        nxt = mem.read(self.next_region, slot)
+        if self.link_mask is not None:
+            nxt &= self.link_mask
+        self._store_head(nxt)
+        if nxt == NIL:
+            # list drained: the tail anchor would otherwise go stale
+            # and a later push would splice onto an in-use slot
+            self._store_tail(NIL)
+        self.free_count -= 1
+        return slot
+
+    def take(self, words: Dict[int, int]) -> int:
+        """Register-anchor pop straight off the SRAM word store ``words``
+        (:attr:`PointerMemory.sram`'s ``_words``), uncharged.
+
+        The caller charges its one access, ``R next[slot]`` on the
+        returned slot, inside its own operation's single charge.
         """
         if not self._initialized:
             raise RuntimeError("free list not initialized; call initialize()")
-        head = self._reg_head if not self.anchors_in_memory \
-            else self._load_head()
+        head = self._reg_head
         if head == NIL:
-            in_use = self.num_slots - self.free_count
-            raise OutOfBuffersError(
-                f"free list empty: {in_use} of {self.num_slots} slots in "
-                f"use (install a buffer policy to make overload a drop "
-                f"decision)", slots_in_use=in_use, num_slots=self.num_slots)
-        self._virgin = False
+            raise self._exhausted()
         slot = head - 1
-        nxt = self.mem.read(self.next_region, slot)
+        if slot >= self._extent:
+            raise self.mem.region(self.next_region).index_error(slot)
+        self._virgin = False
+        nxt = words.get(self._base + slot, 0)
         if self.link_mask is not None:
             nxt &= self.link_mask
-        if self.anchors_in_memory:
-            self._store_head(nxt)
-            if nxt == NIL:
-                # list drained: the tail anchor would otherwise go stale
-                # and a later push would splice onto an in-use slot
-                self._store_tail(NIL)
-        else:
-            self._reg_head = nxt
-            if nxt == NIL:
-                self._reg_tail = NIL
+        self._reg_head = nxt
+        if nxt == NIL:
+            self._reg_tail = NIL
         self.free_count -= 1
         return slot
 
@@ -198,34 +227,53 @@ class FreeList:
     def push(self, slot: int) -> None:
         """Release one slot ("Enqueue Free List").
 
-        Access pattern (anchors in memory): R tail, W next[tail], W tail.
+        Access pattern (anchors in memory): R tail, W next[slot], W tail
+        (plus W next[tail] when the list was not empty).  With register
+        anchors: :meth:`give` plus one :meth:`PointerMemory.charge`.
         Appending at the tail (rather than pushing at the head) matches
         hardware practice: it avoids reusing a just-freed slot whose data
         transfer may still be in flight.
         """
-        if not self._initialized:
-            raise RuntimeError("free list not initialized; call initialize()")
-        if not 0 <= slot < self.num_slots:
-            raise ValueError(f"slot {slot} out of range [0, {self.num_slots})")
+        mem = self.mem
+        if not self.anchors_in_memory:
+            written = self.give(mem.sram._words, slot)
+            mem.charge(self._push_patterns[len(written) - 1], written)
+            return
+        self._require_init()
+        self._check_slot(slot)
         self._virgin = False
-        if self.anchors_in_memory:
-            tail = self._load_tail()
-            self.mem.write(self.next_region, slot, NIL)
-            if tail == NIL:
-                self._store_head(self._enc(slot))
-            else:
-                self.mem.write(self.next_region, self._dec(tail),
-                               self._enc(slot))
-            self._store_tail(self._enc(slot))
+        tail = self._load_tail()
+        mem.write(self.next_region, slot, NIL)
+        if tail == NIL:
+            self._store_head(self._enc(slot))
         else:
-            tail = self._reg_tail
-            self.mem.write(self.next_region, slot, NIL)
-            if tail == NIL:
-                self._reg_head = slot + 1
-            else:
-                self.mem.write(self.next_region, tail - 1, slot + 1)
-            self._reg_tail = slot + 1
+            mem.write(self.next_region, self._dec(tail), self._enc(slot))
+        self._store_tail(self._enc(slot))
         self.free_count += 1
+
+    def give(self, words: Dict[int, int], slot: int) -> Tuple[int, ...]:
+        """Register-anchor push straight onto the SRAM word store
+        ``words``, uncharged.
+
+        Returns the ``next`` indexes it wrote, in order: ``(slot,)`` onto
+        an empty list, else ``(slot, old_tail)``.  The caller charges one
+        ``W next`` per index inside its own operation's single charge.
+        """
+        self._require_init()
+        self._check_slot(slot)
+        tail = self._reg_tail - 1
+        if tail >= self._extent:
+            raise self.mem.region(self.next_region).index_error(tail)
+        self._virgin = False
+        base = self._base
+        words[base + slot] = NIL
+        self._reg_tail = slot + 1
+        self.free_count += 1
+        if tail < 0:
+            self._reg_head = slot + 1
+            return (slot,)
+        words[base + tail] = slot + 1
+        return (slot, tail)
 
     def push_chain(self, first_slot: int, last_slot: int, count: int) -> None:
         """Release a pre-linked chain in O(1) (the MMS delete-packet path).
@@ -281,6 +329,13 @@ class FreeList:
     @staticmethod
     def _dec(word: int) -> int:
         return word - 1
+
+    def _exhausted(self) -> OutOfBuffersError:
+        in_use = self.num_slots - self.free_count
+        return OutOfBuffersError(
+            f"free list empty: {in_use} of {self.num_slots} slots in "
+            f"use (install a buffer policy to make overload a drop "
+            f"decision)", slots_in_use=in_use, num_slots=self.num_slots)
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.num_slots:

@@ -38,8 +38,12 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.policies.base import BufferPolicy, DroppedSegment
 from repro.queueing.errors import QueueEmptyError
-from repro.queueing.freelist import NIL, FreeList
-from repro.queueing.pointer_memory import AccessRecord, PointerMemory
+from repro.queueing.freelist import NIL, FreeList, OutOfBuffersError
+from repro.queueing.pointer_memory import (
+    AccessRecord,
+    PointerMemory,
+    access_pattern,
+)
 
 #: Field width used for every link in packed words.
 LINK_BITS = 24
@@ -51,6 +55,34 @@ SEGMENT_BYTES = 64
 _FULL_MID_SEG = (SEGMENT_BYTES - 1) << LEN_SHIFT
 #: Mask of a descriptor word's (first, last) fields.
 _DESC_LOW2 = (1 << (2 * LINK_BITS)) - 1
+
+# Access patterns of the hot operations' branches, charged once per
+# operation.  The free-list steps are FreeList.take/give's: a pop reads
+# the popped slot's link, a push writes the pushed slot's link and, onto
+# a non-empty list, the old tail's.
+_ENQ_NEW = ("R seg_next", "R queue_b", "R desc", "W desc", "W seg_next")
+_ENQ_OPEN = ("R seg_next", "R queue_b", "R desc",
+             "W seg_next", "W seg_next", "W desc")
+#: publishing onto an empty queue, then onto a tail packet
+_PUBLISH = (("R queue_a", "W queue_a"),
+            ("R queue_a", "R desc", "W desc", "W queue_a"))
+_ENQ_FIRST = access_pattern(*_ENQ_NEW, "W queue_b")
+_ENQ_SINGLE = tuple(access_pattern(*_ENQ_NEW, *pub) for pub in _PUBLISH)
+_ENQ_MID = access_pattern(*_ENQ_OPEN)
+_ENQ_CLOSE = tuple(access_pattern(*_ENQ_OPEN, *pub, "W queue_b")
+                   for pub in _PUBLISH)
+#: a new packet that finds no free descriptor
+_ENQ_NO_DESC = access_pattern("R seg_next", "R queue_b")
+_DEQ_HEAD = ("R queue_a", "R desc", "R seg_next")
+#: free-list pushes onto an empty list, then onto a non-empty one
+_PUSH_SEG = (("W seg_next",), ("W seg_next", "W seg_next"))
+_PUSH_DESC = (("W desc",), ("W desc", "W desc"))
+_DEQ_EMPTY = access_pattern("R queue_a")
+_DEQ_MID = tuple(access_pattern(*_DEQ_HEAD, "W desc", *seg)
+                 for seg in _PUSH_SEG)
+_DEQ_LAST = tuple(tuple(access_pattern(*_DEQ_HEAD, "W queue_a", *desc, *seg)
+                        for seg in _PUSH_SEG)
+                  for desc in _PUSH_DESC)
 
 
 class SegmentInfo(NamedTuple):
@@ -87,6 +119,13 @@ class PacketQueueManager:
         self.mem.add_region("queue_a", num_flows)
         self.mem.add_region("queue_b", num_flows)
         self.mem.freeze()
+        # the layout is frozen: the hot operations address the word
+        # store by absolute address from these bases
+        self._sram = self.mem.sram
+        self._seg_base = self.mem.region("seg_next").base
+        self._desc_base = self.mem.region("desc").base
+        self._qa_base = self.mem.region("queue_a").base
+        self._qb_base = self.mem.region("queue_b").base
         # Hardware keeps the free-list anchors in registers: consulting
         # them costs no SRAM access.
         self.seg_free = FreeList(self.mem, num_segments,
@@ -131,40 +170,60 @@ class PacketQueueManager:
             raise ValueError(f"length must be in [1, {SEGMENT_BYTES}], got {length}")
         if not eop and length != SEGMENT_BYTES:
             raise ValueError("only the EOP segment may be shorter than 64 bytes")
-        # The pack/unpack helpers are inlined below (this is the
-        # hottest data-structure operation in the repository); the field
-        # layout is exactly _pack_seg/_pack_desc's.
+        # One pass over the SRAM word store with the pack/unpack helpers
+        # inlined (this is the hottest data-structure operation in the
+        # repository; the field layout is exactly _pack_seg/_pack_desc's);
+        # the branch taken charges its accesses once.
         mem = self.mem
+        words = self._sram._words
         mem.start_trace()
         try:
-            slot = self.seg_free.pop()
+            slot = self.seg_free.take(words)
             seg_word = (length - 1) << LEN_SHIFT
             if eop:
                 seg_word |= EOP_BIT
-            open_word = mem.read("queue_b", flow)
+            qb = self._qb_base + flow
+            open_word = words.get(qb, 0)
             if open_word == NIL:
-                d = self.desc_free.pop()
-                mem.write("desc", d, (slot + 1) | ((slot + 1) << LINK_BITS))
-                mem.write("seg_next", slot, seg_word)
+                try:
+                    d = self.desc_free.take(words)
+                except OutOfBuffersError:
+                    mem.charge(_ENQ_NO_DESC, (slot, flow))
+                    raise
+                words[self._desc_base + d] = \
+                    (slot + 1) | ((slot + 1) << LINK_BITS)
+                words[self._seg_base + slot] = seg_word
                 if not eop:
-                    mem.write("queue_b", flow, d + 1)
+                    words[qb] = d + 1
+                    mem.charge(_ENQ_FIRST, (slot, flow, d, d, slot, flow))
                 else:
-                    self._publish(flow, d)
+                    pub = self._publish(words, flow, d)
+                    mem.charge(_ENQ_SINGLE[len(pub) // 2 - 1],
+                               (slot, flow, d, d, slot) + pub)
             else:
                 d = open_word - 1
-                dword = mem.read("desc", d)
+                if d >= self.num_descriptors:
+                    raise mem.region("desc").index_error(d)
+                da = self._desc_base + d
+                dword = words.get(da, 0)
                 last = ((dword >> LINK_BITS) & LINK_MASK) - 1
+                if not 0 <= last < self.num_segments:
+                    raise mem.region("seg_next").index_error(last)
                 # the old last segment is mid-packet: full 64B, non-EOP --
                 # its word is fully known, so the link is one plain write
-                mem.write("seg_next", last, (slot + 1) | _FULL_MID_SEG)
-                mem.write("seg_next", slot, seg_word)
-                mem.write("desc", d,
-                          (dword & LINK_MASK)
-                          | ((slot + 1) << LINK_BITS)
-                          | (dword & ~_DESC_LOW2))
-                if eop:
-                    self._publish(flow, d)
-                    mem.write("queue_b", flow, NIL)
+                words[self._seg_base + last] = (slot + 1) | _FULL_MID_SEG
+                words[self._seg_base + slot] = seg_word
+                words[da] = ((dword & LINK_MASK)
+                             | ((slot + 1) << LINK_BITS)
+                             | (dword & ~_DESC_LOW2))
+                if not eop:
+                    mem.charge(_ENQ_MID, (slot, flow, d, last, slot, d))
+                else:
+                    pub = self._publish(words, flow, d)
+                    words[qb] = NIL
+                    mem.charge(_ENQ_CLOSE[len(pub) // 2 - 1],
+                               (slot, flow, d, last, slot, d) + pub
+                               + (flow,))
         finally:
             trace = mem.end_trace()
         self._seg_shadow[slot] = SegmentInfo(slot, eop, length, pid, index)
@@ -247,23 +306,62 @@ class PacketQueueManager:
         """MMS *Dequeue*: remove and free the head segment of the head
         packet; unlinks the packet descriptor on its last segment."""
         self._check_flow(flow)
-        self.mem.start_trace()
+        # one pass over the SRAM word store, packing/decoding inlined --
+        # per-command hot path (dequeue, delete); the layout is exactly
+        # _pack_desc/_pack_qa_raw/_decode_seg's
+        mem = self.mem
+        words = self._sram._words
+        mem.start_trace()
         try:
-            info, _slot = self._take_head_segment(flow, free_slot=True)
+            qa_addr = self._qa_base + flow
+            qa = words.get(qa_addr, 0)
+            head_d = qa & LINK_MASK
+            if head_d == NIL:
+                mem.charge(_DEQ_EMPTY, (flow,))
+                raise QueueEmptyError(f"flow {flow} has no queued packet")
+            d = head_d - 1
+            if d >= self.num_descriptors:
+                raise mem.region("desc").index_error(d)
+            da = self._desc_base + d
+            dword = words.get(da, 0)
+            first = (dword & LINK_MASK) - 1
+            last = ((dword >> LINK_BITS) & LINK_MASK) - 1
+            nxt_d = (dword >> (2 * LINK_BITS)) & LINK_MASK
+            if not 0 <= first < self.num_segments:
+                raise mem.region("seg_next").index_error(first)
+            word = words.get(self._seg_base + first, 0)
+            if first != last:
+                words[da] = ((word & LINK_MASK) | ((last + 1) << LINK_BITS)
+                             | (nxt_d << (2 * LINK_BITS)))
+                freed = self.seg_free.give(words, first)
+                mem.charge(_DEQ_MID[len(freed) - 1],
+                           (flow, d, first, d) + freed)
+            else:
+                # last segment of the packet: retire the descriptor
+                new_tail = ((qa >> LINK_BITS) & LINK_MASK) \
+                    if nxt_d != NIL else NIL
+                words[qa_addr] = nxt_d | (new_tail << LINK_BITS)
+                retired = self.desc_free.give(words, d)
+                freed = self.seg_free.give(words, first)
+                mem.charge(_DEQ_LAST[len(retired) - 1][len(freed) - 1],
+                           (flow, d, first, flow) + retired + freed)
+                self._queued_packets[flow] -= 1
         finally:
-            trace = self.mem.end_trace()
+            trace = mem.end_trace()
+        shadow = self._seg_shadow.pop(first, None)
+        length = (word >> LEN_SHIFT) + 1
+        info = SegmentInfo(first, (word & EOP_BIT) != 0, length,
+                           shadow.pid if shadow else -1,
+                           shadow.index if shadow else 0)
+        self._queued_segments[flow] -= 1
+        if self.policy is not None:
+            self.policy.note_release(flow, length)
         return info, trace
 
     def delete_segment(self, flow: int) -> Tuple[SegmentInfo, List[AccessRecord]]:
         """MMS *Delete one segment*: same unlinking as dequeue, but no
         data-memory access is ever generated for it."""
-        self._check_flow(flow)
-        self.mem.start_trace()
-        try:
-            info, _slot = self._take_head_segment(flow, free_slot=True)
-        finally:
-            trace = self.mem.end_trace()
-        return info, trace
+        return self.dequeue_segment(flow)
 
     def read_segment(self, flow: int) -> Tuple[SegmentInfo, List[AccessRecord]]:
         """MMS *Read*: resolve the head segment (for the data address)
@@ -724,22 +822,28 @@ class PacketQueueManager:
 
     # ========================================================= internals
 
-    def _publish(self, flow: int, d: int) -> None:
-        """Link a completed packet descriptor into the flow queue
-        (packing inlined -- per-command hot path)."""
-        mem = self.mem
-        qa = mem.read("queue_a", flow)
+    def _publish(self, words: Dict[int, int], flow: int, d: int
+                 ) -> Tuple[int, ...]:
+        """Link a completed packet descriptor into the flow queue on the
+        word store (packing inlined -- per-command hot path).  Returns
+        the indexes of its accesses for the caller's charge:
+        ``(flow, flow)`` onto an empty queue, else ``(flow, t, t, flow)``
+        (the tail descriptor ``t`` gains the link)."""
+        qa_addr = self._qa_base + flow
+        qa = words.get(qa_addr, 0)
         tail_d = (qa >> LINK_BITS) & LINK_MASK
         d_enc = d + 1
         if tail_d == NIL:
-            mem.write("queue_a", flow, d_enc | (d_enc << LINK_BITS))
-        else:
-            t = tail_d - 1
-            tword = mem.read("desc", t)
-            mem.write("desc", t,
-                      (tword & _DESC_LOW2) | (d_enc << (2 * LINK_BITS)))
-            mem.write("queue_a", flow,
-                      (qa & LINK_MASK) | (d_enc << LINK_BITS))
+            words[qa_addr] = d_enc | (d_enc << LINK_BITS)
+            return (flow, flow)
+        t = tail_d - 1
+        if t >= self.num_descriptors:
+            raise self.mem.region("desc").index_error(t)
+        ta = self._desc_base + t
+        words[ta] = ((words.get(ta, 0) & _DESC_LOW2)
+                     | (d_enc << (2 * LINK_BITS)))
+        words[qa_addr] = (qa & LINK_MASK) | (d_enc << LINK_BITS)
+        return (flow, t, t, flow)
 
     def _head_desc(self, flow: int) -> int:
         qa = self.mem.read("queue_a", flow)
@@ -774,46 +878,6 @@ class PacketQueueManager:
             self.mem.write("desc", t, self._pack_desc(tf, tl, self._enc(d)))
             self.mem.write("queue_a", flow,
                            self._pack_qa_raw(head_d, self._enc(d)))
-
-    def _take_head_segment(self, flow: int, free_slot: bool
-                           ) -> Tuple[SegmentInfo, int]:
-        # packing/decoding inlined -- per-command hot path (dequeue,
-        # delete); layout is exactly _pack_desc/_pack_qa_raw/_decode_seg
-        mem = self.mem
-        qa = mem.read("queue_a", flow)
-        head_d = qa & LINK_MASK
-        if head_d == NIL:
-            raise QueueEmptyError(f"flow {flow} has no queued packet")
-        d = head_d - 1
-        dword = mem.read("desc", d)
-        first = (dword & LINK_MASK) - 1
-        last = ((dword >> LINK_BITS) & LINK_MASK) - 1
-        nxt_d = (dword >> (2 * LINK_BITS)) & LINK_MASK
-        word = mem.read("seg_next", first)
-        shadow = self._seg_shadow.get(first)
-        info = SegmentInfo(first, (word & EOP_BIT) != 0,
-                           (word >> LEN_SHIFT) + 1,
-                           shadow.pid if shadow else -1,
-                           shadow.index if shadow else 0)
-        if first != last:
-            nxt_s = word & LINK_MASK
-            mem.write("desc", d,
-                      nxt_s | ((last + 1) << LINK_BITS)
-                      | (nxt_d << (2 * LINK_BITS)))
-        else:
-            # last segment of the packet: retire the descriptor
-            new_tail = ((qa >> LINK_BITS) & LINK_MASK) if nxt_d != NIL \
-                else NIL
-            mem.write("queue_a", flow, nxt_d | (new_tail << LINK_BITS))
-            self.desc_free.push(d)
-            self._queued_packets[flow] -= 1
-        if free_slot:
-            self.seg_free.push(first)
-        self._seg_shadow.pop(first, None)
-        self._queued_segments[flow] -= 1
-        if self.policy is not None:
-            self.policy.note_release(flow, info.length)
-        return info, first
 
     def _free_desc(self, d: int) -> None:
         self.desc_free.push(d)

@@ -7,7 +7,9 @@ in :mod:`repro.queueing` goes through a :class:`PointerMemory`, which
 
 * maps named regions (segment links, packet descriptors, queue table,
   free-list anchors) onto one flat :class:`~repro.mem.sram.ZbtSram`,
-* counts reads/writes per region,
+* counts reads/writes per region -- access by access for the cold
+  operations, once per operation (:meth:`PointerMemory.charge`) for the
+  per-command hot ones,
 * optionally records an ordered :class:`AccessRecord` trace of one
   operation, which the platform models convert into cycles (one PLB
   transaction per access on the reference NPU; one pipelined SRAM cycle
@@ -20,8 +22,9 @@ hard-coded.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import DefaultDict, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.mem.sram import ZbtSram
 from repro.mem.timing import ZbtTiming
@@ -37,10 +40,13 @@ class Region:
 
     def addr(self, index: int) -> int:
         if not 0 <= index < self.words:
-            raise IndexError(
-                f"region {self.name!r}: index {index} out of range [0, {self.words})"
-            )
+            raise self.index_error(index)
         return self.base + index
+
+    def index_error(self, index: int) -> IndexError:
+        """The error every bounds check of this region raises."""
+        return IndexError(f"region {self.name!r}: index {index} out of "
+                          f"range [0, {self.words})")
 
 
 @dataclass(frozen=True)
@@ -56,12 +62,50 @@ class _CountOnlyTrace(List[AccessRecord]):
     """Sentinel type for a count-only trace in progress (no records
     kept).  Subclassing the record list keeps ``_trace``'s type uniform
     without paying a cast on the access hot path; the ``is`` guards in
-    :meth:`PointerMemory.read`/:meth:`~PointerMemory.write` ensure the
-    sentinel instance itself is never appended to."""
+    :meth:`PointerMemory.read`/:meth:`~PointerMemory.write`/
+    :meth:`~PointerMemory.charge` ensure the sentinel instance itself is
+    never appended to."""
 
 
 #: Sentinel marking a count-only trace in progress (identity-compared).
 _COUNT_TRACE = _CountOnlyTrace()
+
+
+class AccessPattern:
+    """One operation branch's fixed access sequence, tallied once.
+
+    Built by :func:`access_pattern`; :meth:`PointerMemory.charge`
+    accounts a whole branch with it in one call.  Compared and hashed by
+    identity: a pointer memory keys its pending charges by pattern.
+    """
+
+    __slots__ = ("steps", "reads", "writes", "num_reads", "num_writes")
+
+    def __init__(self, steps: Tuple[Tuple[str, str], ...]) -> None:
+        reads: Dict[str, int] = {}
+        writes: Dict[str, int] = {}
+        for kind, region in steps:
+            if kind not in ("R", "W"):
+                raise ValueError(f"access kind must be 'R' or 'W': {kind!r}")
+            tally = reads if kind == "R" else writes
+            tally[region] = tally.get(region, 0) + 1
+        #: ``(kind, region)`` per access, in access order
+        self.steps = steps
+        #: ``(region, count)`` per region read / written
+        self.reads = tuple(reads.items())
+        self.writes = tuple(writes.items())
+        self.num_reads = sum(reads.values())
+        self.num_writes = sum(writes.values())
+
+
+def access_pattern(*steps: str) -> AccessPattern:
+    """An :class:`AccessPattern` from ``"R region"``/``"W region"`` steps
+    in access order."""
+    pairs: List[Tuple[str, str]] = []
+    for step in steps:
+        kind, region = step.split()
+        pairs.append((kind, region))
+    return AccessPattern(tuple(pairs))
 
 
 class PointerMemory:
@@ -81,8 +125,11 @@ class PointerMemory:
         #: batched engine enables this on its hot path because the
         #: published scenarios consult only trace lengths and counters.
         self.count_only_traces = False
-        self.reads_by_region: Dict[str, int] = {}
-        self.writes_by_region: Dict[str, int] = {}
+        self._reads: Dict[str, int] = {}
+        self._writes: Dict[str, int] = {}
+        #: pattern -> times charged since the last fold into the
+        #: per-region counters (see :meth:`charge`)
+        self._charged: DefaultDict[AccessPattern, int] = defaultdict(int)
 
     # ------------------------------------------------------------- layout
 
@@ -97,8 +144,8 @@ class PointerMemory:
         region = Region(name=name, base=self._next_base, words=words)
         self._regions[name] = region
         self._next_base += words
-        self.reads_by_region[name] = 0
-        self.writes_by_region[name] = 0
+        self._reads[name] = 0
+        self._writes[name] = 0
         return region
 
     def freeze(self) -> None:
@@ -116,14 +163,28 @@ class PointerMemory:
     def region(self, name: str) -> Region:
         return self._regions[name]
 
+    @property
+    def sram(self) -> ZbtSram:
+        """The backing SRAM (frozen layouts only).
+
+        Hot operations work on its word store, ``sram._words``, by
+        absolute address (``region(name).base + index``) and then
+        :meth:`charge` their accesses.  Fetch the store afresh for every
+        operation: checkpoint restore replaces it.
+        """
+        return self._require_frozen()
+
     # ------------------------------------------------------------- access
 
-    # The access methods are the hottest few lines of the repository
-    # (every pointer manipulation of every command funnels through
-    # them), so the SRAM store and counters are accessed directly
-    # rather than through ZbtSram.read/write: the region bounds check
-    # subsumes the SRAM bounds check (the frozen layout spans exactly
-    # ``size_words``), and the counter arithmetic is identical.
+    # The per-command hot operations (PQM enqueue/dequeue and the
+    # register-anchor free list) do not come through read/write: they
+    # work on the SRAM word store directly and account each operation
+    # once through :meth:`charge`, with the access pattern of the branch
+    # they actually ran.  read/write serve every other (cold) operation;
+    # they touch the store and counters directly too, since the region
+    # bounds check subsumes the SRAM bounds check (the frozen layout
+    # spans exactly ``size_words``) and the counter arithmetic is
+    # identical.
 
     def read(self, region: str, index: int) -> int:
         sram = self._sram
@@ -131,12 +192,10 @@ class PointerMemory:
             raise RuntimeError("layout not frozen; call freeze() first")
         r = self._regions[region]
         if not 0 <= index < r.words:
-            raise IndexError(
-                f"region {r.name!r}: index {index} out of range "
-                f"[0, {r.words})")
+            raise r.index_error(index)
         sram.read_count += 1
         value = sram._words.get(r.base + index, 0)
-        self.reads_by_region[region] += 1
+        self._reads[region] += 1
         trace = self._trace
         if trace is not None:
             if trace is _COUNT_TRACE:
@@ -151,12 +210,10 @@ class PointerMemory:
             raise RuntimeError("layout not frozen; call freeze() first")
         r = self._regions[region]
         if not 0 <= index < r.words:
-            raise IndexError(
-                f"region {r.name!r}: index {index} out of range "
-                f"[0, {r.words})")
+            raise r.index_error(index)
         sram.write_count += 1
         sram._words[r.base + index] = value
-        self.writes_by_region[region] += 1
+        self._writes[region] += 1
         trace = self._trace
         if trace is not None:
             if trace is _COUNT_TRACE:
@@ -170,10 +227,36 @@ class PointerMemory:
         sram = self._require_frozen()
         r = self._regions[region]
         if not 0 <= index < r.words:
-            raise IndexError(
-                f"region {r.name!r}: index {index} out of range "
-                f"[0, {r.words})")
+            raise r.index_error(index)
         return sram._words.get(r.base + index, 0)
+
+    def charge(self, pattern: AccessPattern, indices: Tuple[int, ...]
+               ) -> None:
+        """Account one operation's accesses in a single call.
+
+        The caller has already performed them on the word store (see
+        :attr:`sram`), bounds-checking every index; ``indices`` are the
+        region-relative word indexes of ``pattern``'s steps, in order.
+        The SRAM totals and the trace in progress (if any) advance
+        exactly as the equivalent :meth:`read`/:meth:`write` sequence
+        would advance them; the per-region counters only count the
+        charge here and fold it in when next read
+        (:attr:`reads_by_region`, :attr:`writes_by_region`).
+        """
+        sram = self._sram
+        if sram is None:
+            raise RuntimeError("layout not frozen; call freeze() first")
+        sram.read_count += pattern.num_reads
+        sram.write_count += pattern.num_writes
+        self._charged[pattern] += 1
+        trace = self._trace
+        if trace is not None:
+            if trace is _COUNT_TRACE:
+                self._trace_n += len(pattern.steps)
+            else:
+                trace.extend([AccessRecord(kind, region, index)
+                              for (kind, region), index
+                              in zip(pattern.steps, indices, strict=True)])
 
     # ------------------------------------------------------------ tracing
 
@@ -227,24 +310,42 @@ class PointerMemory:
         if pairs:
             # one bounds scan over the region-relative indexes; the
             # frozen layout guarantees the rebased addresses fit, so the
-            # store is a single C-level dict.update (same intra-package
-            # coupling as read/write above)
+            # store is a single C-level dict.update
             idxs = [p[0] for p in pairs]
             lo, hi = min(idxs), max(idxs)
             if lo < 0 or hi >= words:
-                bad = lo if lo < 0 else hi
-                raise IndexError(
-                    f"region {region!r}: index {bad} out of range "
-                    f"[0, {words})")
+                raise r.index_error(lo if lo < 0 else hi)
             if base:
                 pairs = [(i + base, v) for i, v in pairs]
             sram._words.update(pairs)
         sram.read_count += extra_reads
         sram.write_count += n + extra_writes
-        self.reads_by_region[region] += extra_reads
-        self.writes_by_region[region] += n + extra_writes
+        self._reads[region] += extra_reads
+        self._writes[region] += n + extra_writes
 
     # ----------------------------------------------------------- counters
+
+    @property
+    def reads_by_region(self) -> Dict[str, int]:
+        """Reads per region name (a live dict)."""
+        self._fold_charged()
+        return self._reads
+
+    @reads_by_region.setter
+    def reads_by_region(self, counts: Dict[str, int]) -> None:
+        self._fold_charged()
+        self._reads = counts
+
+    @property
+    def writes_by_region(self) -> Dict[str, int]:
+        """Writes per region name (a live dict)."""
+        self._fold_charged()
+        return self._writes
+
+    @writes_by_region.setter
+    def writes_by_region(self, counts: Dict[str, int]) -> None:
+        self._fold_charged()
+        self._writes = counts
 
     @property
     def total_reads(self) -> int:
@@ -259,11 +360,25 @@ class PointerMemory:
         return self.total_reads + self.total_writes
 
     def reset_counters(self) -> None:
-        for name in self.reads_by_region:
-            self.reads_by_region[name] = 0
-            self.writes_by_region[name] = 0
+        self._charged.clear()
+        for name in self._reads:
+            self._reads[name] = 0
+            self._writes[name] = 0
         if self._sram is not None:
             self._sram.reset_counters()
+
+    def _fold_charged(self) -> None:
+        """Add the pending charges to the per-region counters."""
+        charged = self._charged
+        if not charged:
+            return
+        reads, writes = self._reads, self._writes
+        for pattern, times in charged.items():
+            for region, n in pattern.reads:
+                reads[region] += n * times
+            for region, n in pattern.writes:
+                writes[region] += n * times
+        charged.clear()
 
     # ---------------------------------------------------------- internals
 

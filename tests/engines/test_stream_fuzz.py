@@ -6,7 +6,9 @@ seeds) are replayed twice -- through the reference heapq kernel (the full
 machine -- and everything observable must be byte-identical:
 
 * the ordered per-operation pointer-access traces (``AccessRecord``
-  lists, push-out walks included),
+  lists, push-out walks included), which on each engine must account
+  for every pointer access the run counted (no op bypasses the
+  ``start_trace``/``end_trace`` bracket),
 * the per-command dispatch log (operation, flow, functional result,
   trace length, dispatch time),
 * the completion-record stream (delivery order, the picosecond
@@ -65,6 +67,7 @@ class Capture:
         self.cmds = []      # (op, flow, result-repr, trace_len, time)
         self.records = []   # full completion records
         self.telemetry = ""  # serialized MmsTelemetry snapshot
+        self.accesses_at_start = 0
         self.final = {}
 
     def snapshot_final(self, pqm, policy, now, commands_executed):
@@ -110,6 +113,7 @@ def _cycle_parts(records):
 
 
 def _capture_mem(cap, mem):
+    cap.accesses_at_start = mem.total_accesses
     orig_end = mem.end_trace
 
     def end_trace():
@@ -118,6 +122,14 @@ def _capture_mem(cap, mem):
         return trace
 
     mem.end_trace = end_trace
+
+
+def assert_traces_cover_accesses(cap, mem):
+    """Every pointer access the run counted sits inside some operation's
+    ``start_trace``/``end_trace`` bracket: an op that bypassed it would
+    silently drop out of the trace comparison."""
+    assert sum(map(len, cap.traces)) \
+        == mem.total_accesses - cap.accesses_at_start
 
 
 def run_reference(config, scripts, drain_counters=None,
@@ -161,6 +173,7 @@ def run_reference(config, scripts, drain_counters=None,
     sim.run(until_ps=HORIZON)
     # the breakdown and the probe see one completion per command
     assert parts == _cycle_parts(log.records)
+    assert_traces_cover_accesses(cap, mms.pqm.mem)
     cap.records = log.records
     cap.telemetry = json.dumps(tel.snapshot().to_dict())
     cap.snapshot_final(mms.pqm, mms.policy, sim.now,
@@ -185,6 +198,7 @@ def run_stream(config, scripts, drain_counters=None,
             eng.pqm.queued_packets, active_flows, drain_period,
             drain_counters))
     eng.run(HORIZON)
+    assert_traces_cover_accesses(cap, eng.pqm.mem)
     records = eng.completion_records(HORIZON)
     for record in records:
         tel.on_record(record)

@@ -57,6 +57,21 @@ def test_run_load_identical_with_serialized_data_path():
                        run_load(4.0, engine="fast", **kw))
 
 
+@pytest.mark.parametrize("warmup_volleys", [30, 45])
+def test_run_load_warmup_past_every_record_matches_reference(
+        warmup_volleys):
+    """No record lies beyond the warm-up boundary (30 volleys complete
+    120 records): both engines fall back to the full-run means, and at
+    exact equality ``t0`` is the last record's time (elapsed 0)."""
+    kw = dict(num_volleys=30, config=CFG, warmup_volleys=warmup_volleys,
+              active_flows=128)
+    ref = run_load(4.0, engine="reference", **kw)
+    fast = run_load(4.0, engine="fast", **kw)
+    assert same_result(ref, fast)
+    assert fast.completed_ops == 120
+    assert (fast.elapsed_ps == 0) == (warmup_volleys * 4 == 120)
+
+
 # ------------------------------------------------------ run_saturation
 
 def test_run_saturation_identical_to_reference():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.queueing import FreeList, OutOfBuffersError, PointerMemory
+from repro.queueing.pointer_memory import AccessRecord
 
 
 def make(slots=8, anchors_in_memory=True, link_mask=None):
@@ -140,6 +141,27 @@ def test_register_anchor_access_counts():
     pm.start_trace()
     fl.push(slot)
     assert len(pm.end_trace()) == 2
+
+def test_register_anchor_exact_traces():
+    """Register-anchor pop/push charge the exact per-access sequence:
+    pop reads the popped slot's link; push writes the pushed slot's
+    link, then (onto a non-empty list) the old tail's."""
+    pm, fl = make(4, anchors_in_memory=False)
+    pm.start_trace()
+    slots = [fl.pop() for _ in range(4)]
+    assert pm.end_trace() == [AccessRecord("R", "next", s) for s in slots]
+    pm.start_trace()
+    fl.push(2)      # onto an empty list
+    fl.push(0)      # behind slot 2
+    assert pm.end_trace() == [AccessRecord("W", "next", 2),
+                              AccessRecord("W", "next", 0),
+                              AccessRecord("W", "next", 2)]
+    assert pm.peek("next", 2) == 1 and pm.peek("next", 0) == 0
+    assert (pm.reads_by_region["next"], pm.writes_by_region["next"]) \
+        == (4, 3)
+    assert pm.sram.read_count == 4 and pm.sram.write_count == 3
+    assert [fl.pop(), fl.pop()] == [2, 0]
+
 
 def test_push_chain_splices_in_constant_accesses():
     pm, fl = make(8, anchors_in_memory=False)

@@ -371,3 +371,227 @@ def test_constructor_validation():
         PacketQueueManager(0, 8)
     with pytest.raises(ValueError):
         PacketQueueManager(2, 0)
+
+# ----------------------------------------------- golden hot-op traces
+# Every branch of the two per-command hot ops (enqueue, and the
+# dequeue/delete head-segment take) pinned access by access: the
+# ordered (kind, region, index) trace, the per-region counter deltas,
+# the SRAM totals and every written word.  Free-list links are raw
+# encoded slots (slot + 1, 0 = NIL).
+
+def _seg(link_enc, eop, length):
+    return link_enc | (int(eop) << 24) | ((length - 1) << 25)
+
+
+def _desc(first_enc, last_enc, next_enc):
+    return first_enc | (last_enc << 24) | (next_enc << 48)
+
+
+def _qa(head_enc, tail_enc):
+    return head_enc | (tail_enc << 24)
+
+
+def _prepared(segments=128, descriptors=32, setup=()):
+    """A manager after ``setup``: ``(flow, n)`` enqueues an n-segment
+    packet, ``(flow, "open")`` one non-EOP segment."""
+    m = make(8, segments, descriptors)
+    for flow, nsegs in setup:
+        if nsegs == "open":
+            m.enqueue_segment(flow, eop=False)
+        else:
+            fill_packet(m, flow, nsegs)
+    return m
+
+
+GOLDEN_HOT_OPS = {
+    # name: (manager kwargs, op, trace, {region: (reads, writes)}, words).
+    # Flow 5 holds two segments first, so the op's flow, slot and
+    # descriptor indexes all differ.
+    "enqueue-first-segment": (
+        {"setup": [(5, 2)]},
+        lambda m: m.enqueue_segment(7, eop=False),
+        [("R", "seg_next", 2), ("R", "queue_b", 7), ("R", "desc", 1),
+         ("W", "desc", 1), ("W", "seg_next", 2), ("W", "queue_b", 7)],
+        {"seg_next": (1, 1), "desc": (1, 1), "queue_b": (1, 1)},
+        {("desc", 1): _desc(3, 3, 0), ("seg_next", 2): _seg(0, False, 64),
+         ("queue_b", 7): 2}),
+    "enqueue-single-segment-empty-queue": (
+        {"setup": [(5, 2)]},
+        lambda m: m.enqueue_segment(7, eop=True, length=40),
+        [("R", "seg_next", 2), ("R", "queue_b", 7), ("R", "desc", 1),
+         ("W", "desc", 1), ("W", "seg_next", 2), ("R", "queue_a", 7),
+         ("W", "queue_a", 7)],
+        {"seg_next": (1, 1), "desc": (1, 1), "queue_a": (1, 1),
+         "queue_b": (1, 0)},
+        {("desc", 1): _desc(3, 3, 0), ("seg_next", 2): _seg(0, True, 40),
+         ("queue_a", 7): _qa(2, 2)}),
+    "enqueue-single-segment-tail-link": (
+        {"setup": [(5, 3), (7, 1)]},
+        lambda m: m.enqueue_segment(7, eop=True),
+        [("R", "seg_next", 4), ("R", "queue_b", 7), ("R", "desc", 2),
+         ("W", "desc", 2), ("W", "seg_next", 4), ("R", "queue_a", 7),
+         ("R", "desc", 1), ("W", "desc", 1), ("W", "queue_a", 7)],
+        {"seg_next": (1, 1), "desc": (2, 2), "queue_a": (1, 1),
+         "queue_b": (1, 0)},
+        {("desc", 2): _desc(5, 5, 0), ("seg_next", 4): _seg(0, True, 64),
+         ("desc", 1): _desc(4, 4, 3), ("queue_a", 7): _qa(2, 3)}),
+    "enqueue-mid-packet": (
+        {"setup": [(5, 2), (7, "open")]},
+        lambda m: m.enqueue_segment(7, eop=False),
+        [("R", "seg_next", 3), ("R", "queue_b", 7), ("R", "desc", 1),
+         ("W", "seg_next", 2), ("W", "seg_next", 3), ("W", "desc", 1)],
+        {"seg_next": (1, 2), "desc": (1, 1), "queue_b": (1, 0)},
+        {("seg_next", 2): _seg(4, False, 64),
+         ("seg_next", 3): _seg(0, False, 64), ("desc", 1): _desc(3, 4, 0)}),
+    "enqueue-eop-closes-packet": (
+        {"setup": [(5, 2), (7, "open")]},
+        lambda m: m.enqueue_segment(7, eop=True, length=7),
+        [("R", "seg_next", 3), ("R", "queue_b", 7), ("R", "desc", 1),
+         ("W", "seg_next", 2), ("W", "seg_next", 3), ("W", "desc", 1),
+         ("R", "queue_a", 7), ("W", "queue_a", 7), ("W", "queue_b", 7)],
+        {"seg_next": (1, 2), "desc": (1, 1), "queue_a": (1, 1),
+         "queue_b": (1, 1)},
+        {("seg_next", 2): _seg(4, False, 64),
+         ("seg_next", 3): _seg(0, True, 7), ("desc", 1): _desc(3, 4, 0),
+         ("queue_a", 7): _qa(2, 2), ("queue_b", 7): 0}),
+    "enqueue-eop-closes-packet-tail-link": (
+        {"setup": [(5, 2), (7, 1), (7, "open")]},
+        lambda m: m.enqueue_segment(7, eop=True),
+        [("R", "seg_next", 4), ("R", "queue_b", 7), ("R", "desc", 2),
+         ("W", "seg_next", 3), ("W", "seg_next", 4), ("W", "desc", 2),
+         ("R", "queue_a", 7), ("R", "desc", 1), ("W", "desc", 1),
+         ("W", "queue_a", 7), ("W", "queue_b", 7)],
+        {"seg_next": (1, 2), "desc": (2, 2), "queue_a": (1, 1),
+         "queue_b": (1, 1)},
+        {("seg_next", 3): _seg(5, False, 64),
+         ("seg_next", 4): _seg(0, True, 64), ("desc", 2): _desc(4, 5, 0),
+         ("desc", 1): _desc(3, 3, 3), ("queue_a", 7): _qa(2, 3),
+         ("queue_b", 7): 0}),
+    "dequeue-mid-packet": (
+        {"setup": [(5, 2), (7, 3)]},
+        lambda m: m.dequeue_segment(7),
+        [("R", "queue_a", 7), ("R", "desc", 1), ("R", "seg_next", 2),
+         ("W", "desc", 1), ("W", "seg_next", 2), ("W", "seg_next", 127)],
+        {"seg_next": (1, 2), "desc": (1, 1), "queue_a": (1, 0)},
+        {("desc", 1): _desc(4, 5, 0), ("seg_next", 2): 0, ("seg_next", 127): 3}),
+    "dequeue-last-with-successor": (
+        {"setup": [(5, 2), (7, 1), (7, 2)]},
+        lambda m: m.dequeue_segment(7),
+        [("R", "queue_a", 7), ("R", "desc", 1), ("R", "seg_next", 2),
+         ("W", "queue_a", 7), ("W", "desc", 1), ("W", "desc", 31),
+         ("W", "seg_next", 2), ("W", "seg_next", 127)],
+        {"seg_next": (1, 2), "desc": (1, 2), "queue_a": (1, 1)},
+        {("queue_a", 7): _qa(3, 3), ("desc", 1): 0, ("desc", 31): 2,
+         ("seg_next", 2): 0, ("seg_next", 127): 3}),
+    "dequeue-last-empties-queue": (
+        {"setup": [(5, 2), (7, 1)]},
+        lambda m: m.dequeue_segment(7),
+        [("R", "queue_a", 7), ("R", "desc", 1), ("R", "seg_next", 2),
+         ("W", "queue_a", 7), ("W", "desc", 1), ("W", "desc", 31),
+         ("W", "seg_next", 2), ("W", "seg_next", 127)],
+        {"seg_next": (1, 2), "desc": (1, 2), "queue_a": (1, 1)},
+        {("queue_a", 7): _qa(0, 0), ("desc", 1): 0, ("desc", 31): 2,
+         ("seg_next", 2): 0, ("seg_next", 127): 3}),
+    "dequeue-mid-free-lists-empty": (
+        {"segments": 4, "descriptors": 2, "setup": [(5, 2), (7, 2)]},
+        lambda m: m.dequeue_segment(7),
+        [("R", "queue_a", 7), ("R", "desc", 1), ("R", "seg_next", 2),
+         ("W", "desc", 1), ("W", "seg_next", 2)],
+        {"seg_next": (1, 1), "desc": (1, 1), "queue_a": (1, 0)},
+        {("desc", 1): _desc(4, 4, 0), ("seg_next", 2): 0}),
+    "dequeue-last-free-lists-empty": (
+        {"segments": 3, "descriptors": 2, "setup": [(5, 2), (7, 1)]},
+        lambda m: m.dequeue_segment(7),
+        [("R", "queue_a", 7), ("R", "desc", 1), ("R", "seg_next", 2),
+         ("W", "queue_a", 7), ("W", "desc", 1), ("W", "seg_next", 2)],
+        {"seg_next": (1, 1), "desc": (1, 1), "queue_a": (1, 1)},
+        {("queue_a", 7): _qa(0, 0), ("desc", 1): 0, ("seg_next", 2): 0}),
+    "delete-segment-mid-packet": (
+        {"setup": [(5, 2), (7, 2)]},
+        lambda m: m.delete_segment(7),
+        [("R", "queue_a", 7), ("R", "desc", 1), ("R", "seg_next", 2),
+         ("W", "desc", 1), ("W", "seg_next", 2), ("W", "seg_next", 127)],
+        {"seg_next": (1, 2), "desc": (1, 1), "queue_a": (1, 0)},
+        {("desc", 1): _desc(4, 4, 0), ("seg_next", 2): 0, ("seg_next", 127): 3}),
+}
+
+
+def _counters(m):
+    mem = m.mem
+    return (dict(mem.reads_by_region), dict(mem.writes_by_region),
+            mem._sram.read_count, mem._sram.write_count)
+
+
+def _run_golden(name, count_only):
+    kwargs, op, trace, deltas, words = GOLDEN_HOT_OPS[name]
+    m = _prepared(**kwargs)
+    m.mem.count_only_traces = count_only
+    reads0, writes0, sram_r0, sram_w0 = _counters(m)
+    got = op(m)
+    got_trace = got[1] if isinstance(got, tuple) else got
+    reads1, writes1, sram_r1, sram_w1 = _counters(m)
+    expected_reads = {r: deltas.get(r, (0, 0))[0] for r in reads0}
+    expected_writes = {r: deltas.get(r, (0, 0))[1] for r in writes0}
+    assert {r: reads1[r] - reads0[r] for r in reads0} == expected_reads
+    assert {r: writes1[r] - writes0[r] for r in writes0} == expected_writes
+    assert sram_r1 - sram_r0 == sum(expected_reads.values())
+    assert sram_w1 - sram_w0 == sum(expected_writes.values())
+    assert sum(expected_reads.values()) + sum(expected_writes.values()) \
+        == len(trace)
+    return m, got_trace, trace, words
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_HOT_OPS))
+def test_golden_hot_op_full_trace(name):
+    m, got_trace, trace, words = _run_golden(name, count_only=False)
+    assert [(a.kind, a.region, a.index) for a in got_trace] == trace
+    assert {key: m.mem.peek(*key) for key in words} == words
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_HOT_OPS))
+def test_golden_hot_op_count_only_trace(name):
+    _m, got_trace, trace, _words = _run_golden(name, count_only=True)
+    assert len(got_trace) == len(trace)
+
+
+# ------------------------------------------------------ ops that raise
+
+def test_dequeue_empty_flow_counts_only_the_queue_read():
+    m = make()
+    with pytest.raises(QueueEmptyError):
+        m.dequeue_segment(2)
+    assert _counters(m) == (
+        {"seg_next": 0, "desc": 0, "queue_a": 1, "queue_b": 0},
+        {"seg_next": 0, "desc": 0, "queue_a": 0, "queue_b": 0}, 1, 0)
+    assert (m.free_segments, m.free_descriptors) == (128, 32)
+    assert m.mem._trace is None       # the bracket closed on the raise
+    fill_packet(m, 2, 1)
+    assert m.dequeue_segment(2)[0].eop
+
+
+def test_descriptor_exhaustion_mid_enqueue_keeps_parent_accounting():
+    """The segment slot is already taken and the ``seg_next``/``queue_b``
+    reads are counted when the descriptor pop raises."""
+    m = make(descriptors=1)
+    fill_packet(m, 0, 1)
+    m.mem.reset_counters()
+    with pytest.raises(OutOfBuffersError):
+        m.enqueue_segment(1, eop=True)
+    assert _counters(m) == (
+        {"seg_next": 1, "desc": 0, "queue_a": 0, "queue_b": 1},
+        {"seg_next": 0, "desc": 0, "queue_a": 0, "queue_b": 0}, 2, 0)
+    assert (m.free_segments, m.free_descriptors) == (126, 0)
+    assert (m.queued_segments(1), m.open_segments(1)) == (0, 0)
+    assert m.mem._trace is None
+
+
+def test_segment_exhaustion_counts_nothing():
+    m = make(segments=1)
+    fill_packet(m, 0, 1)
+    m.mem.reset_counters()
+    with pytest.raises(OutOfBuffersError):
+        m.enqueue_segment(1, eop=True)
+    assert _counters(m) == (
+        {"seg_next": 0, "desc": 0, "queue_a": 0, "queue_b": 0},
+        {"seg_next": 0, "desc": 0, "queue_a": 0, "queue_b": 0}, 0, 0)
+    assert (m.free_segments, m.free_descriptors) == (0, 31)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.queueing import PointerMemory
-from repro.queueing.pointer_memory import AccessRecord
+from repro.queueing.pointer_memory import AccessRecord, access_pattern
 
 
 def make():
@@ -108,3 +108,82 @@ def test_zero_word_region_rejected():
     pm = PointerMemory()
     with pytest.raises(ValueError):
         pm.add_region("a", 0)
+
+# ------------------------------------------------- charge-once accounting
+
+PATTERN = access_pattern("R qhead", "R next", "W next", "W next",
+                         "W qhead")
+INDICES = (1, 3, 3, 5, 1)
+
+
+def _accesses_one_by_one(pm):
+    pm.read("qhead", 1)
+    pm.read("next", 3)
+    pm.write("next", 3, 0)
+    pm.write("next", 5, 0)
+    pm.write("qhead", 1, 0)
+
+
+def _counters(pm):
+    return (dict(pm.reads_by_region), dict(pm.writes_by_region),
+            pm.sram.read_count, pm.sram.write_count)
+
+
+@pytest.mark.parametrize("count_only", [False, True])
+def test_charge_accounts_like_the_access_sequence(count_only):
+    one_by_one, charged = make(), make()
+    for pm in (one_by_one, charged):
+        pm.count_only_traces = count_only
+        pm.start_trace()
+    _accesses_one_by_one(one_by_one)
+    charged.charge(PATTERN, INDICES)
+    expected, got = one_by_one.end_trace(), charged.end_trace()
+    assert got == expected
+    assert _counters(charged) == _counters(one_by_one) == (
+        {"next": 1, "qhead": 1}, {"next": 2, "qhead": 1}, 2, 3)
+
+
+def test_charge_outside_a_trace_only_counts():
+    pm = make()
+    pm.charge(PATTERN, INDICES)
+    pm.charge(PATTERN, INDICES)
+    pm.read("next", 0)
+    assert _counters(pm) == ({"next": 3, "qhead": 2},
+                             {"next": 4, "qhead": 2}, 5, 6)
+    assert pm.total_accesses == 11
+
+
+def test_charge_indices_must_match_the_pattern():
+    pm = make()
+    pm.start_trace()
+    with pytest.raises(ValueError):
+        pm.charge(PATTERN, INDICES[:-1])
+
+
+def test_charged_counts_survive_counter_replacement_and_reset():
+    """Checkpoint restore assigns the per-region dicts; pending charges
+    must not leak into the restored counts, nor survive a reset."""
+    pm = make()
+    pm.charge(PATTERN, INDICES)
+    pm.reads_by_region = {"next": 10, "qhead": 20}
+    pm.writes_by_region = {"next": 30, "qhead": 40}
+    assert pm.reads_by_region == {"next": 10, "qhead": 20}
+    assert pm.writes_by_region == {"next": 30, "qhead": 40}
+    pm.charge(PATTERN, INDICES)
+    assert pm.total_accesses == 100 + 5
+    pm.charge(PATTERN, INDICES)
+    pm.reset_counters()
+    assert _counters(pm) == ({"next": 0, "qhead": 0},
+                             {"next": 0, "qhead": 0}, 0, 0)
+
+
+def test_access_pattern_rejects_unknown_kinds():
+    with pytest.raises(ValueError):
+        access_pattern("X next")
+
+
+def test_index_error_matches_read_write():
+    pm = make()
+    with pytest.raises(IndexError) as via_read:
+        pm.read("qhead", 4)
+    assert str(pm.region("qhead").index_error(4)) == str(via_read.value)
