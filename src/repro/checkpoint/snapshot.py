@@ -39,8 +39,11 @@ from repro.policies.base import PolicySpec
 from repro.telemetry.probe import TelemetrySpec
 from repro.trace.spans import TraceSpec
 
-#: Schema version of the serialized checkpoint payload.
-CHECKPOINT_SCHEMA = 1
+#: Schema version of the serialized checkpoint payload.  Version 2: the
+#: stream engine's DMC is off the wake heap; its pending step is in
+#: ``state["machine"]["dmc"]["step"]`` (version-1 payloads carry DMC
+#: wakes in ``"wakes"`` and are refused).
+CHECKPOINT_SCHEMA = 2
 
 #: Execution paths a checkpoint can originate from.
 CHECKPOINT_ENGINES = ("stream", "kernel")

@@ -2,7 +2,8 @@
 
 The stream engine is a fixed set of scalar actors over plain data
 structures -- per-port FIFO deques, the DQM cursor and in-flight
-command, the DMC bank/turnaround registers, the wake heap, the
+command, the DMC bank/turnaround registers and pending step, the wake
+heap (feeders and DQM only), the
 functional :class:`~repro.queueing.PacketQueueManager` state and the
 buffer-policy books -- so (unlike the generator-based kernel) its full
 state serializes exactly.  Two representation details matter:
@@ -18,7 +19,9 @@ state serializes exactly.  Two representation details matter:
   completing a request, the tail finalizing ``_cur``) land in the same
   shared records they would have in an unbroken run.
 * **Rest points.**  Snapshots are taken only between ``run()`` calls.
-  The engine is then at rest: no actor is mid-step, the wake heap (the
+  The engine is then at rest: no actor is mid-step, the DMC pass has
+  consumed every handoff and run every step up to ``now`` (its next
+  step, if any, is the recorded pending step), the wake heap (the
   over-horizon wake included -- the kernel run contract keeps it
   scheduled) is a plain list in heap order, and feeders are suspended
   at a micro-op boundary, which is what lets
@@ -40,7 +43,7 @@ from typing import Any, Callable, Dict, Iterator, List, Sequence
 from repro.checkpoint.feeders import CountedFeeder, Tape
 from repro.checkpoint.snapshot import CheckpointError
 from repro.core.commands import CommandType
-from repro.engines.stream import C_OP, C_REQ
+from repro.engines.stream import C_OP, C_REQ, DMC_ISSUE
 from repro.engines.stream import StreamMms
 from repro.queueing.freelist import FreeList
 from repro.queueing.packet_queues import PacketQueueManager, SegmentInfo
@@ -125,7 +128,7 @@ def snapshot_stream(eng: StreamMms) -> Dict[str, Any]:
             "last_islot": eng._last_islot,
             "last_was_read": eng._last_was_read,
             "queue": [req_id(r) for r in eng._dmc_queue],
-            "waiting": eng._dmc_waiting,
+            "step": None if eng._dmc_step is None else list(eng._dmc_step),
             "req": None if eng._dmc_req is None else req_id(eng._dmc_req),
         },
         "pqm": {
@@ -192,9 +195,14 @@ def restore_stream(eng: StreamMms, state: Dict[str, Any],
     eng._last_islot = dmc["last_islot"]
     eng._last_was_read = dmc["last_was_read"]
     eng._dmc_queue = [_owned_req(cmds, i) for i in dmc["queue"]]
-    eng._dmc_waiting = dmc["waiting"]
+    step = dmc["step"]
+    eng._dmc_step = None if step is None else (step[0], step[1])
     eng._dmc_req = None if dmc["req"] is None \
         else _owned_req(cmds, dmc["req"])
+    if (eng._dmc_req is None) != (step is None or step[1] != DMC_ISSUE):
+        raise CheckpointError(
+            "DMC issue step and issuing request disagree (corrupt "
+            "checkpoint)")
 
     # the serialized heap list is already in heap order -- rebuilding
     # it as tuples preserves the invariant without re-heapifying

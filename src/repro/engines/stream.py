@@ -6,13 +6,26 @@ window -- without the discrete-event kernel.  Where the kernel round-trips
 every command through generator processes, event objects and a calendar
 queue (a dozen kernel events per command), the machine advances a handful
 of scalar actor states over preallocated structures: FIFO occupancy is a
-deque per port, the DQM is a round-robin cursor plus one in-flight
-command, the DMC is the bank release array plus the write-after-read
-turnaround pair, and the memoized :func:`repro.core.dqm.command_timing_table`
-picosecond costs are folded into cumulative-sum accounting per command.
-The whole machine runs as one inlined loop over a tiny wake heap (the
-same structure-over-speed trade the kernel's run loop makes, one level
-lower).
+deque per port, the DQM is a round-robin cursor (with one precomputed
+arbitration order per cursor position) plus one in-flight command, the
+DMC is the bank release array plus the write-after-read turnaround pair,
+and the memoized :func:`repro.core.dqm.command_timing_table` picosecond
+costs are folded into cumulative-sum accounting per command.
+
+The feeders and the DQM run as one inlined loop over a tiny wake heap
+(the same structure-over-speed trade the kernel's run loop makes, one
+level lower).  The DMC is not on that heap: as in the paper's MMS, the
+DQM hands each segment transfer over and never waits for it, and no
+feeder, policy, probe or DQM step reads DMC state during a run.  The
+handoffs are therefore only collected while the heap drains, and at
+every exit of :meth:`StreamMms.run` one DMC pass replays them in handoff
+order -- each arrival preceded by the DMC steps due before it -- and
+then runs every step up to the horizon.  The pass keeps the kernel's
+step arithmetic (align to the access cycle, pick within the reorder
+window, wait out bank and turnaround, issue) and the kernel's tie order:
+a DMC loop-top step and a handoff at the same instant run in the order
+the kernel pushed them, which :func:`stream_supports` pins to one rule
+per configuration (see there).
 
 Fidelity is not statistical: the machine reproduces the kernel's
 ``(time, sequence)`` ordering contract for every interaction that is
@@ -26,16 +39,16 @@ operations, buffer-policy decisions) runs through the very same
 which is what makes trace identity a structural property rather than a
 re-implementation hazard.
 
-Workloads the machine cannot replay exactly (non-default port
-arrangements whose backpressure interleavings it does not model) are
-declared by :func:`stream_supports`, and the harness entry points fall
-back to the calendar-queue kernel for them.
+Workloads the machine cannot replay exactly are declared by
+:func:`stream_supports`, and the harness entry points fall back to the
+calendar-queue kernel for them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.commands import (
@@ -67,8 +80,14 @@ _W_FEEDER = 0        # resume a feeder generator (arg = feeder index)
 _W_SERVE_POP = 1     # the DQM was kicked out of its idle wait
 _W_SERVE_HANDOFF = 2  # first-pointer-access handoff: issue the DMC transfer
 _W_SERVE_TAIL = 3    # command execution complete; serve the next one
-_W_DMC_TOP = 4       # DMC loop top (queue check + slot alignment + issue)
-_W_DMC_ISSUE = 5     # DMC reached the earliest legal issue slot
+
+# The DMC's pending step (``StreamMms._dmc_step`` is ``(time_ps, kind)``
+# or None while the DMC idles on an empty queue).
+DMC_TOP = 0    # loop top: queue check + slot alignment + pick (+ issue)
+DMC_ISSUE = 1  # the picked request reached its earliest legal issue slot
+
+#: Local stand-in for an idle DMC inside the pass (later than any step).
+_IDLE = 1 << 62
 
 _DATA_COMMANDS = DATA_READ_COMMANDS | DATA_WRITE_COMMANDS
 
@@ -86,10 +105,27 @@ def stream_supports(config: MmsConfig) -> Optional[str]:
 
     The machine claims the standard Figure 2 port arrangement only:
     custom per-port FIFO depths/priorities are backpressure *timing
-    studies* whose interleavings belong to the kernel.  It also requires
-    the DMC completion grid to stay off the MMS clock grid (true for
-    every paper configuration), which is what makes the completion-record
-    ordering reproducible without a kernel.
+    studies* whose interleavings belong to the kernel.  The rest pins
+    down orderings the machine reproduces without a kernel:
+
+    * the DMC completion grid stays off the MMS clock grid (true for
+      every paper configuration), so completion records never tie with
+      end-of-execution records;
+    * every data transfer completes strictly after its command's
+      schedule tail.  Otherwise the kernel's finalize process stamps
+      the data-done and record instants at the tail, not at the
+      transfer's completion;
+    * the DMC pass's tie rule is decidable.  A DMC loop-top step at an
+      access-cycle instant ``t`` was pushed one access cycle earlier
+      (after an issue), or at an earlier handoff (realignment); a
+      handoff at ``t`` was pushed ``handoff_ps`` earlier, at its DQM
+      pop.  When every data command's ``handoff_ps`` is below the
+      access cycle (the overlapped data path), DMC steps at
+      ``t <= arrival`` run before the arrival; when every one is above
+      it (the A5 serialized path), only steps at ``t < arrival`` do,
+      and a realignment step cannot tie.  Data commands on both sides
+      of the cycle, or exactly on it, would need per-push ordering and
+      are left to the kernel.
     """
     if config.ports != DEFAULT_PORTS:
         return ("non-default port arrangement (backpressure timing study; "
@@ -100,10 +136,27 @@ def stream_supports(config: MmsConfig) -> Optional[str]:
     if cycle_ps % period_ps != 0:
         return "DDR access cycle not a multiple of the MMS clock period"
     pipeline_ps = config.dmc_pipeline_ns * NS
-    for delay_ns in (timing.read_delay_ns, timing.write_delay_ns):
-        if (delay_ns * NS + pipeline_ps) % period_ps == 0:
+    read_ps = timing.read_delay_ns * NS + pipeline_ps
+    write_ps = timing.write_delay_ns * NS + pipeline_ps
+    for delay_ps in (read_ps, write_ps):
+        if delay_ps % period_ps == 0:
             return ("DMC completion grid collides with the MMS clock grid "
                     "(record ordering would need the kernel)")
+    handoffs = set()
+    for op, (handoff_ps, tail_ps, _lat, _execf, _ptr) in \
+            command_timing_table(period_ps, config.overlap_data).items():
+        if op not in _DATA_COMMANDS:
+            continue
+        handoffs.add(handoff_ps)
+        delay_ps = write_ps if op in DATA_WRITE_COMMANDS else read_ps
+        if delay_ps <= tail_ps:
+            return ("a data transfer can complete before its command's "
+                    "schedule tail (record instants would need the "
+                    "kernel's finalize)")
+    if cycle_ps in handoffs or min(handoffs) < cycle_ps < max(handoffs):
+        return ("DQM-to-DMC handoff delays do not all fall on one side of "
+                "the DDR access cycle (DMC tie order would need the "
+                "kernel)")
     return None
 
 
@@ -152,11 +205,18 @@ class StreamMms:
         self._wakes: List[Tuple[int, int, int, Optional[int]]] = []
         # ---- per-port command FIFOs ---------------------------------
         ports = config.ports
-        self._num_ports = len(ports)
-        self._prios = [p.priority for p in ports]
+        nports = self._num_ports = len(ports)
         self._caps = [p.fifo_depth for p in ports]
+        #: InternalScheduler.pop_next as a table: for each round-robin
+        #: cursor, the ports in service order (strict priority between
+        #: classes, round-robin from the cursor within a class).
+        self._arbitration = [
+            tuple(sorted(range(nports),
+                         key=lambda i, rr=rr: (ports[i].priority,
+                                               (i - rr) % nports)))
+            for rr in range(nports)]
         self._fifos = [deque() for _ in ports]
-        self._pending: List[Optional[Tuple[int, list]]] = [None] * len(ports)
+        self._pending: List[Optional[Tuple[int, list]]] = [None] * nports
         # ---- DQM (serve) --------------------------------------------
         self._rr_next = 0
         self._serve_waiting = True
@@ -178,8 +238,18 @@ class StreamMms:
         self._last_islot = 0
         self._last_was_read = False
         self._dmc_queue: List[list] = []
-        self._dmc_waiting = True
+        #: The DMC's pending step, ``(time_ps, DMC_TOP | DMC_ISSUE)``, or
+        #: None while it idles on an empty queue.
+        self._dmc_step: Optional[Tuple[int, int]] = None
+        #: The request a pending DMC_ISSUE step issues.
         self._dmc_req: Optional[list] = None
+        #: Handoffs of the current run() call, in handoff order, not yet
+        #: seen by the DMC (empty between run() calls).
+        self._arrivals: List[list] = []
+        #: The tie rule (see stream_supports): 0 = DMC steps at an
+        #: arrival's instant run before it, -1 = only earlier steps do.
+        self._dmc_tie_bias = 0 if self._opinfo[CommandType.ENQUEUE][0] \
+            < self._cycle_ps else -1
         # ---- feeders ------------------------------------------------
         self._feeders: List[Feeder] = []
         self._feeder_port: List[int] = []
@@ -223,13 +293,15 @@ class StreamMms:
 
     def run(self, until_ps: int) -> int:
         """Drain the wake heap up to ``until_ps`` (kernel ``run``
-        contract: the first wake beyond the horizon ends the run).
+        contract: the first wake beyond the horizon ends the run), then
+        bring the DMC up to the same instant.
 
-        The body is one fused loop over every actor -- feeders, the
-        DQM's pop/handoff/tail points, and the DMC's aligned pick/issue
-        points -- with machine state held in locals; the inline blocks
-        are the hand-compiled equivalents of the kernel processes they
-        replace (named in the comments).
+        The body is one fused loop over the feeders and the DQM's
+        pop/handoff/tail points, with machine state held in locals; the
+        inline blocks are the hand-compiled equivalents of the kernel
+        processes they replace (named in the comments).  The handoffs it
+        collects reach the DMC in one pass at exit (:meth:`_dmc_pass`),
+        also when the run stops on an exception.
         """
         mem = self.pqm.mem
         count_restore = mem.count_only_traces
@@ -241,6 +313,7 @@ class StreamMms:
             return self._run(until_ps)
         finally:
             mem.count_only_traces = count_restore
+            self._dmc_pass(self.now)
 
     def _run(self, until_ps: int) -> int:
         wakes = self._wakes
@@ -253,14 +326,17 @@ class StreamMms:
         heappop_ = heappop
         pqm = self.pqm
         # the two dominant Table 5 / overload opcodes take an inlined
-        # dispatch branch below (identical calls, minus the indirection)
+        # dispatch branch below (identical calls, minus the indirection
+        # and the opinfo lookup: CommandType hashes in Python code)
         enq_op = CommandType.ENQUEUE
         deq_op = CommandType.DEQUEUE
+        enq_info = opinfo[enq_op]
+        deq_info = opinfo[deq_op]
         inline_ok = self.trace_hook is None and self.probe is None
         policy_none = self.policy is None
         # scheduler / serve state
         fifos = self._fifos
-        prios = self._prios
+        arbitration = self._arbitration
         caps = self._caps
         nports = self._num_ports
         pending = self._pending
@@ -272,20 +348,9 @@ class StreamMms:
         # feeder state
         feeders = self._feeders
         fports = self._feeder_port
-        # DMC state
-        dmc_queue = self._dmc_queue
-        dmc_waiting = self._dmc_waiting
-        dmc_req = self._dmc_req
-        bank_free = self._bank_free
-        cycle = self._cycle_ps
-        busy = self._busy_cycles
-        war = self._war_cycles
-        rdelay = self._read_delay_ps
-        wdelay = self._write_delay_ps
+        # DMC handoffs, replayed by _dmc_pass
+        arrive = self._arrivals.append
         nbanks = self._num_banks
-        reorder = self._window
-        last_islot = self._last_islot
-        last_was_read = self._last_was_read
 
         try:
             while wakes:
@@ -315,64 +380,10 @@ class StreamMms:
                     if slot is not None and cur_info[4]:
                         req = [now, cur_info[5], slot % nbanks, -1]
                         cur[C_REQ] = req
-                        dmc_queue.append(req)
-                        if dmc_waiting:
-                            dmc_waiting = False
-                            seq += 1
-                            heappush_(wakes, (now, seq, _W_DMC_TOP, None))
+                        arrive(req)
                     seq += 1
                     heappush_(wakes, (now + cur_info[1], seq,
                                      _W_SERVE_TAIL, None))
-
-                elif kind == _W_DMC_TOP or kind == _W_DMC_ISSUE:
-                    # -- DdrController._serve: align to the access
-                    # cycle, pick within the reorder window, wait out
-                    # the bank/turnaround constraint, issue ------------
-                    if kind == _W_DMC_ISSUE:
-                        req, dmc_req = dmc_req, None
-                    else:
-                        if not dmc_queue:
-                            dmc_waiting = True
-                            continue
-                        rem = now % cycle
-                        if rem:
-                            seq += 1
-                            heappush_(wakes, (now + cycle - rem, seq,
-                                             _W_DMC_TOP, None))
-                            continue
-                        slot_no = now // cycle
-                        window = reorder if reorder < len(dmc_queue) \
-                            else len(dmc_queue)
-                        idx = 0
-                        for i in range(window):
-                            if bank_free[dmc_queue[i][R_BANK]] <= slot_no:
-                                idx = i
-                                break
-                        req = dmc_queue.pop(idx)
-                        # DdrModel.earliest_issue_slot: bank reuse +
-                        # write-after-read turnaround overlap (max)
-                        islot = bank_free[req[R_BANK]]
-                        if islot < slot_no:
-                            islot = slot_no
-                        if req[R_WRITE] and last_was_read:
-                            turnaround_free = last_islot + 1 + war
-                            if turnaround_free > islot:
-                                islot = turnaround_free
-                        if islot > slot_no:
-                            dmc_req = req
-                            seq += 1
-                            heappush_(wakes, (islot * cycle, seq,
-                                             _W_DMC_ISSUE, None))
-                            continue
-                    # issue at the current instant
-                    islot = now // cycle
-                    bank_free[req[R_BANK]] = islot + busy
-                    last_islot = islot
-                    last_was_read = not req[R_WRITE]
-                    req[R_COMPLETE] = now + (wdelay if req[R_WRITE]
-                                             else rdelay)
-                    seq += 1
-                    heappush_(wakes, (now + cycle, seq, _W_DMC_TOP, None))
 
                 elif kind == _W_FEEDER:
                     # -- a port process: pull micro-ops until it sleeps,
@@ -413,25 +424,17 @@ class StreamMms:
 
                 if pop_now:
                     # -- InternalScheduler.pop_next + the head of
-                    # DataQueueManager.execute: strict priority between
-                    # classes, round-robin within a class; dispatch the
+                    # DataQueueManager.execute: the first non-empty FIFO
+                    # in the cursor's arbitration order; dispatch the
                     # functional operation at the pop instant ----------
-                    best = -1
-                    best_prio = 0
-                    for off in range(nports):
-                        i = rr_next + off
-                        if i >= nports:
-                            i -= nports
-                        if not fifos[i]:
-                            continue
-                        if best < 0 or prios[i] < best_prio:
-                            best = i
-                            best_prio = prios[i]
-                    if best < 0:
+                    for best in arbitration[rr_next]:
+                        fifo = fifos[best]
+                        if fifo:
+                            break
+                    else:
                         serve_waiting = True
                         continue
                     rr_next = 0 if best + 1 >= nports else best + 1
-                    fifo = fifos[best]
                     cmd = fifo.popleft()
                     pend = pending[best]
                     if pend is not None:
@@ -452,14 +455,16 @@ class StreamMms:
                         result = info_seg
                         trace_len = len(trace)
                         data_slot = info_seg.slot
+                        info = deq_info
                     elif inline_ok and op is enq_op and policy_none:
                         result, trace = pqm.enqueue_segment(
                             cmd[C_FLOW], eop=cmd[C_EOP], length=cmd[C_LEN])
                         trace_len = len(trace)
                         data_slot = result
+                        info = enq_info
                     else:
                         result, trace_len, data_slot = dispatch(cmd)
-                    info = opinfo[op]
+                        info = opinfo[op]
                     if strict \
                             and not isinstance(result, DroppedSegment) \
                             and trace_len != info[3]:
@@ -482,10 +487,89 @@ class StreamMms:
             self._serve_waiting = serve_waiting
             self._cur = cur
             self._cur_info = cur_info
-            self._dmc_waiting = dmc_waiting
-            self._dmc_req = dmc_req
-            self._last_islot = last_islot
-            self._last_was_read = last_was_read
+
+    def _dmc_pass(self, until_ps: int) -> None:
+        """Feed this run() call's handoffs to the DMC, then run every
+        DMC step at or before ``until_ps``.
+
+        Mirrors ``DdrController._serve`` step for step: a DMC_TOP step
+        idles on an empty queue, realigns to the next access-cycle
+        instant, or picks within the reorder window (the first request
+        whose bank is free, else the head) and waits out the bank reuse
+        and write-after-read turnaround (a DMC_ISSUE step) before
+        issuing; every issue schedules the next DMC_TOP one access cycle
+        later.  Before each arrival, the steps that the kernel runs
+        ahead of it run first (the tie rule of :func:`stream_supports`);
+        an idle DMC is kicked with a DMC_TOP step at the arrival
+        instant.
+        """
+        arrivals = self._arrivals
+        queue = self._dmc_queue
+        step = self._dmc_step
+        at = _IDLE if step is None else step[0]
+        issuing = self._dmc_req
+        bank_free = self._bank_free
+        cycle = self._cycle_ps
+        busy = self._busy_cycles
+        war = self._war_cycles
+        rdelay = self._read_delay_ps
+        wdelay = self._write_delay_ps
+        reorder = self._window
+        last_islot = self._last_islot
+        last_was_read = self._last_was_read
+        bias = self._dmc_tie_bias
+        # a None sentinel ends the pass with the run up to until_ps
+        for new in chain(arrivals, (None,)):
+            limit = until_ps if new is None else new[R_SUBMIT] + bias
+            while at <= limit:
+                if issuing is None:  # DMC_TOP
+                    if not queue:
+                        at = _IDLE
+                        break
+                    rem = at % cycle
+                    if rem:
+                        at += cycle - rem
+                        continue
+                    slot_no = at // cycle
+                    window = reorder if reorder < len(queue) \
+                        else len(queue)
+                    idx = 0
+                    for i in range(window):
+                        if bank_free[queue[i][R_BANK]] <= slot_no:
+                            idx = i
+                            break
+                    req = queue.pop(idx)
+                    # DdrModel.earliest_issue_slot: bank reuse +
+                    # write-after-read turnaround overlap (max)
+                    islot = bank_free[req[R_BANK]]
+                    if islot < slot_no:
+                        islot = slot_no
+                    if req[R_WRITE] and last_was_read:
+                        turnaround_free = last_islot + 1 + war
+                        if turnaround_free > islot:
+                            islot = turnaround_free
+                    if islot > slot_no:
+                        issuing = req
+                        at = islot * cycle
+                        continue
+                else:  # DMC_ISSUE
+                    req, issuing = issuing, None
+                    islot = at // cycle
+                bank_free[req[R_BANK]] = islot + busy
+                last_islot = islot
+                last_was_read = not req[R_WRITE]
+                req[R_COMPLETE] = at + (wdelay if req[R_WRITE] else rdelay)
+                at += cycle
+            if new is not None:
+                queue.append(new)
+                if at == _IDLE:
+                    at = new[R_SUBMIT]
+        arrivals.clear()
+        self._dmc_step = None if at == _IDLE else \
+            (at, DMC_TOP if issuing is None else DMC_ISSUE)
+        self._dmc_req = issuing
+        self._last_islot = last_islot
+        self._last_was_read = last_was_read
 
     # ------------------------------------------------------- dispatch
 
@@ -581,6 +665,10 @@ class StreamMms:
         """
         period = self.clock.period_ps
         opinfo = self._opinfo
+        enq_op = CommandType.ENQUEUE
+        deq_op = CommandType.DEQUEUE
+        enq_execf = opinfo[enq_op][2]
+        deq_execf = opinfo[deq_op][2]
         records: List[CompletionRecord] = []
         for seq, cmd in enumerate(self._done):
             req = cmd[C_REQ]
@@ -609,10 +697,12 @@ class StreamMms:
                 fifo_cycles = 0.0
                 base = start
             op = cmd[C_OP]
+            execf = enq_execf if op is enq_op else deq_execf \
+                if op is deq_op else opinfo[op][2]
             records.append((
                 record_time, seq, op, cmd[C_FLOW],
                 submit, start, end_ps, data_submit, data_done,
-                fifo_cycles, opinfo[op][2], data_cycles,
+                fifo_cycles, execf, data_cycles,
                 (completion - base) / period))
         records.sort(
             key=lambda r: 2 * r[REC_TIME] + (r[REC_DATA_SUBMIT] < 0))

@@ -14,7 +14,9 @@ run.  This suite fuzzes that over:
   lqd) under the overload workload, on both engines,
 * drained overload scripts (closed-loop ``queued_packets`` probing and
   shared counters crossing the checkpoint boundary),
-* edge splits: before the first event and after the workload drained.
+* edge splits: before the first event and after the workload drained,
+* one-bank DMC splits at a handoff that ties with a DMC step, at a
+  pending DMC issue over a queued backlog, and 1 ps before each.
 
 The observation machinery is borrowed from the engine-equivalence fuzz
 (``tests/engines/test_stream_fuzz``) so "everything observable" means
@@ -29,6 +31,7 @@ import pytest
 
 from repro.checkpoint import (
     Checkpoint,
+    CheckpointError,
     KernelRun,
     StreamRun,
     functional_digest,
@@ -38,9 +41,12 @@ from repro.checkpoint import (
 )
 from repro.core.commands import CommandType
 from repro.core.mms import MmsConfig
+from repro.engines.stream import DMC_ISSUE, DMC_TOP
 from repro.policies import PolicySpec
 from repro.telemetry import ProbeChain, TelemetrySpec
+from repro.telemetry.probe import REC_DATA_SUBMIT
 from tests.engines.test_stream_fuzz import (
+    ACCESS_CYCLE_PS,
     Capture,
     HORIZON,
     TELE_SPEC,
@@ -90,18 +96,32 @@ def _finalize(run: StreamRun, caps, horizon=HORIZON) -> Capture:
     return cap
 
 
-def run_stream_with_splits(params, split_points) -> Capture:
+def _dmc_state(eng) -> tuple:
+    """The DMC's registers, pending step and queued requests."""
+    return (list(eng._bank_free), eng._last_islot, eng._last_was_read,
+            eng._dmc_step, eng._dmc_req, [list(r) for r in eng._dmc_queue])
+
+
+def split_stream_run(params, split_points):
     """Drive a StreamRun, checkpointing and resuming (through a full
-    JSON round-trip) at every split point, and capture everything."""
+    JSON round-trip) at every split point; returns the finished run and
+    everything captured.  Each resume must restore the DMC exactly."""
     run = StreamRun.fresh("script", params)
     caps = [_attach(run)]
     for at in sorted(split_points):
         run.run(at)
         blob = run.checkpoint().to_json()
-        run = StreamRun.resume(Checkpoint.from_json(blob))
+        resumed = StreamRun.resume(Checkpoint.from_json(blob))
+        assert _dmc_state(resumed.eng) == _dmc_state(run.eng)
+        run = resumed
         caps.append(_attach(run))
     run.run(HORIZON)
-    return _finalize(run, caps)
+    return run, _finalize(run, caps)
+
+
+def run_stream_with_splits(params, split_points) -> Capture:
+    """:func:`split_stream_run`, capture only."""
+    return split_stream_run(params, split_points)[1]
 
 
 def _span(cap: Capture) -> int:
@@ -135,6 +155,68 @@ def test_mixed_scripts_stream_edge_splits():
     assert_identical(unbroken, run_stream_with_splits(params, [0]))
     assert_identical(unbroken,
                      run_stream_with_splits(params, [HORIZON // 2]))
+
+
+# ------------------------------------------- splits at DMC instants
+
+def _dmc_split_instants(params, handoffs):
+    """Two rest points where a split cuts through DMC work: a data
+    handoff instant at which a DMC loop-top step is also due (the tie
+    the DMC pass orders), and an instant with a DMC_ISSUE step pending
+    over a non-empty queue.  Found by stepping one run from 1 ps before
+    each access-cycle instant to the next."""
+    run = StreamRun.fresh("script", params)
+    eng = run.eng
+    tie = issue = None
+    at = ACCESS_CYCLE_PS - 1
+    while tie is None or issue is None:
+        assert at < HORIZON, "script never backed the DMC up"
+        run.run(at)
+        step = eng._dmc_step
+        if tie is None and at + 1 in handoffs \
+                and step == (at + 1, DMC_TOP):
+            tie = at + 1
+        if issue is None and step is not None \
+                and step[1] == DMC_ISSUE and eng._dmc_queue:
+            issue = at
+        at += ACCESS_CYCLE_PS
+    return tie, issue
+
+
+@pytest.mark.parametrize("overlap_data", [True, False],
+                         ids=["overlapped", "serialized"])
+def test_one_bank_splits_at_dmc_instants_identical(overlap_data):
+    """A one-bank DMC backs up; splitting at a handoff that ties with a
+    DMC step, at a pending issue over a queued backlog, and 1 ps before
+    each, must reproduce the unbroken run's records, final words and
+    final DMC state."""
+    cfg = dataclasses.replace(MIXED_CFG, num_banks=1,
+                              overlap_data=overlap_data)
+    params = script_params(cfg, make_mixed_scripts(1), horizon_ps=HORIZON,
+                           telemetry=TELE_SPEC)
+    whole, unbroken = split_stream_run(params, [])
+    handoffs = {r[REC_DATA_SUBMIT] for r in unbroken.records}
+    tie, issue = _dmc_split_instants(params, handoffs)
+    for at in (tie, tie - 1, issue, issue - 1):
+        run, split = split_stream_run(params, [at])
+        assert_identical(unbroken, split)
+        assert _dmc_state(run.eng) == _dmc_state(whole.eng), at
+
+
+def test_schema_1_checkpoint_is_refused():
+    """Schema-1 stream checkpoints scheduled the DMC on the wake heap;
+    resuming one under the DMC pass would silently drop those steps."""
+    params = script_params(MIXED_CFG, make_mixed_scripts(1),
+                           horizon_ps=HORIZON, telemetry=TELE_SPEC)
+    run = StreamRun.fresh("script", params)
+    run.run(400_000)
+    doc = json.loads(run.checkpoint().to_json())
+    doc["schema"] = 1
+    machine = doc["state"]["machine"]
+    machine["wakes"].append([400_000 + ACCESS_CYCLE_PS, machine["seq"] + 1,
+                             4, None])  # a schema-1 DMC loop-top wake
+    with pytest.raises(CheckpointError, match="schema"):
+        Checkpoint.from_dict(doc)
 
 
 def _log_kernel_records(monkeypatch) -> list:

@@ -21,12 +21,14 @@ machine -- and everything observable must be byte-identical:
 * the final functional state: pointer-memory words, per-region access
   counters, free-list occupancy, per-flow queue depths.
 
-Two families are generated: rich mixed-op scripts with no policy (every
-command type, per-port flow ownership keeps the scripts valid under any
-legal interleaving), and enqueue-heavy overload scripts against a tiny
-buffer for each of the four policies, with the closed-loop probing drain
-of the overload harness (push-outs, drops and descriptor exhaustion all
-exercised).
+Three families are generated: rich mixed-op scripts with no policy
+(every command type, per-port flow ownership keeps the scripts valid
+under any legal interleaving); the same scripts on one- and two-bank
+DMCs with the data path overlapped and serialized, where the DMC queue
+backs up and handoffs tie with DMC steps; and enqueue-heavy overload
+scripts against a tiny buffer for each of the four policies, with the
+closed-loop probing drain of the overload harness (push-outs, drops and
+descriptor exhaustion all exercised).
 """
 
 import json
@@ -34,19 +36,24 @@ import random
 
 import pytest
 
-from repro.core.commands import CommandType
+from repro.core.commands import DATA_WRITE_COMMANDS, CommandType
 from repro.core.mms import MMS, MmsConfig
 from repro.core.workloads import drive_port, overload_drain_ops
-from repro.engines import StreamMms
+from repro.engines import StreamMms, stream_supports
+from repro.mem.timing import DdrTiming
 from repro.policies import PolicySpec
-from repro.sim.clock import SEC
+from repro.sim.clock import NS, SEC
 from repro.sim.kernel import make_simulator
 from repro.telemetry import MmsTelemetry, Probe, ProbeChain, TelemetrySpec
 from repro.telemetry.probe import (
     REC_DATA,
+    REC_DATA_DONE,
+    REC_DATA_SUBMIT,
     REC_E2E,
     REC_EXECUTION,
     REC_FIFO,
+    REC_OP,
+    REC_SEQ,
     REC_TIME,
 )
 
@@ -377,3 +384,53 @@ def test_policy_overload_streams_identical(policy):
                           drain_period=drain_period, active_flows=12)
         assert_identical(ref, fast)
         assert ref.final["policy"][4] > 0, "fuzz case never dropped"
+
+
+# ============================================== DMC backlog tie family
+
+DDR = DdrTiming()
+ACCESS_CYCLE_PS = DDR.access_cycle_ns * NS
+
+
+def count_tie_sensitive_arrivals(records, pipeline_ps):
+    """Data handoffs that land on an access-cycle instant while an
+    older request is still waiting to issue: the arrivals whose
+    visibility to a DMC pick at that same instant is decided by the
+    kernel's push order (the stream engine's tie rule)."""
+    data = sorted((r for r in records if r[REC_DATA_SUBMIT] >= 0),
+                  key=lambda r: r[REC_SEQ])
+    count = 0
+    latest_issue = -1
+    for r in data:
+        submit = r[REC_DATA_SUBMIT]
+        if submit % ACCESS_CYCLE_PS == 0 and latest_issue > submit:
+            count += 1
+        delay_ns = DDR.write_delay_ns if r[REC_OP] in DATA_WRITE_COMMANDS \
+            else DDR.read_delay_ns
+        latest_issue = max(latest_issue,
+                           r[REC_DATA_DONE] - delay_ns * NS - pipeline_ps)
+    return count
+
+
+@pytest.mark.parametrize("num_banks", [1, 2])
+@pytest.mark.parametrize("overlap_data", [True, False],
+                         ids=["overlapped", "serialized"])
+def test_dmc_backlog_streams_identical(num_banks, overlap_data):
+    """With one or two banks the DMC queue backs up, so handoffs land
+    on access-cycle instants while older requests still wait: the DMC
+    pass must order each such arrival against a same-instant loop-top
+    step exactly as the kernel does, on both sides of the tie rule
+    (overlapped handoffs run before the cycle, serialized ones after
+    it)."""
+    config = MmsConfig(num_flows=16, num_segments=4096,
+                       num_descriptors=2048, num_banks=num_banks,
+                       overlap_data=overlap_data)
+    assert stream_supports(config) is None
+    sensitive = 0
+    for seed in range(1, 9):
+        ref = run_reference(config, make_mixed_scripts(seed))
+        fast = run_stream(config, make_mixed_scripts(seed))
+        assert_identical(ref, fast)
+        sensitive += count_tie_sensitive_arrivals(
+            ref.records, config.dmc_pipeline_ns * NS)
+    assert sensitive > 0, "no handoff ever tied with a waiting DMC"

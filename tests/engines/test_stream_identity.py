@@ -155,6 +155,36 @@ def test_stream_rejects_colliding_completion_grid():
     assert stream_supports(cfg) is not None
 
 
+@pytest.mark.parametrize("overrides, load", [
+    (dict(dmc_pipeline_ns=5), 4.0),
+    (dict(clock_mhz=50), 4.0),
+    (dict(clock_mhz=25), 1.6),
+], ids=["pipeline-5ns", "clock-50MHz", "clock-25MHz"])
+def test_transfers_finishing_before_the_tail_fall_back_to_kernel(
+        overrides, load):
+    """A transfer that can complete before its command's schedule
+    tail gets its data-done and record instants from the kernel's
+    finalize, not from the raw completion: the machine declines such
+    configs, and engine="fast" still matches the reference."""
+    cfg = dataclasses.replace(CFG, **overrides)
+    reason = stream_supports(cfg)
+    assert reason is not None and "tail" in reason
+    kw = dict(num_volleys=300, config=cfg, warmup_volleys=20,
+              active_flows=128)
+    assert same_result(run_load(load, engine="reference", **kw),
+                       run_load(load, engine="fast", **kw))
+
+
+def test_stream_rejects_handoffs_straddling_the_access_cycle():
+    """At 200 MHz on the serialized data path some data handoffs fall
+    exactly on the 40 ns access cycle: the DMC tie order is then not
+    one rule, so the machine declines."""
+    cfg = dataclasses.replace(CFG, clock_mhz=200, dmc_pipeline_ns=137,
+                              overlap_data=False)
+    reason = stream_supports(cfg)
+    assert reason is not None and "handoff" in reason
+
+
 def test_run_resumes_across_horizons_like_the_kernel():
     """run() must leave the first over-horizon wake scheduled, so a
     split run reaches the same state as one long run (kernel
