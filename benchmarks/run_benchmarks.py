@@ -27,8 +27,8 @@ Benchmarks
   the probes-on overhead is recorded for the trajectory.
 * ``bench_trace`` -- the same contract for the span tracer: trace-off
   must stay within 2% of the plain run (a probe-free DQM keeps its
-  plain dispatch/finalize pair) and keep the 3x stream floor; the
-  trace-on overhead and span count are recorded.
+  plain dispatch; every DQM shares the one finalize) and keep the 3x
+  stream floor; the trace-on overhead and span count are recorded.
 * ``bench_monitor`` -- the same contract for the operational monitoring
   layer (``repro.monitor``): with monitoring disabled the full-budget
   Table 5 stream run must stay within 2% of the plain run and
@@ -237,11 +237,12 @@ def _assert_probes_structurally_absent() -> None:
     """The real structural-absence check (timings cannot see it).
 
     With no probe, the telemetry layer must leave zero call sites on
-    the hot paths: the kernel DQM must not have the probed
-    dispatch/finalize variants installed as instance attributes, and
-    the stream machine must carry no probe.  With a probe, both swaps
-    must be in place.  A per-command ``if probe is not None`` creeping
-    back into the execute path would pass any same-code timing
+    the hot paths: the kernel DQM must not have the probed dispatch
+    installed as an instance attribute, and the stream machine must
+    carry no probe.  With a probe, the dispatch swap must be in place,
+    and the finalize is never swapped (completion records reach probes
+    by replay after the run).  A per-command ``if probe is not None``
+    creeping back into the execute path would pass any same-code timing
     comparison -- this assertion is what fails instead.
     """
     from repro.core.mms import MMS, MmsConfig
@@ -254,10 +255,12 @@ def _assert_probes_structurally_absent() -> None:
         raise SystemExit(
             "bench_telemetry: probes-off DQM carries probed variants")
     probed = MMS(cfg, probe=MmsTelemetry())
-    if "_dispatch" not in probed.dqm.__dict__ \
-            or "_finalize" not in probed.dqm.__dict__:
+    if "_dispatch" not in probed.dqm.__dict__:
         raise SystemExit(
-            "bench_telemetry: probed DQM did not swap in its variants")
+            "bench_telemetry: probed DQM did not swap in its dispatch")
+    if "_finalize" in probed.dqm.__dict__:
+        raise SystemExit(
+            "bench_telemetry: probed DQM swapped in a second finalize")
     if StreamMms(cfg).probe is not None:
         raise SystemExit("bench_telemetry: probes-off StreamMms has a probe")
 
@@ -322,24 +325,26 @@ def bench_telemetry(quick: bool, repeats: int, table5: dict) -> dict:
 def _assert_stage_hooks_structurally_absent() -> None:
     """The observers' structural-absence check.
 
-    The DQM has two dispatch/finalize variant pairs -- plain and probed
-    -- and picks once at construction time: a plain ``MMS`` must keep
-    the plain pair (no observer call sites at all), and any probe --
-    telemetry, tracer, or both chained -- must get the probed pair,
-    which builds the one completion record every observer folds.  A
-    per-command ``if probe`` creeping into the plain path, or a third
-    variant per observer kind, would pass any timing comparison -- this
-    assertion is what fails instead.
+    The DQM has two dispatch variants -- plain and probed -- and picks
+    once at construction time: a plain ``MMS`` must keep the plain one
+    (no observer call sites at all), and any probe -- telemetry, tracer,
+    or both chained -- must get the probed one.  There is exactly one
+    finalize, the same function with or without a probe: it appends
+    the completion record every observer folds after the run.  A
+    per-command ``if probe`` creeping into the plain path, a probed
+    finalize coming back, or a variant per observer kind would pass any
+    timing comparison -- this assertion is what fails instead.
     """
     from repro.core.dqm import DataQueueManager
     from repro.core.mms import MMS, MmsConfig
     from repro.telemetry import MmsTelemetry, ProbeChain
     from repro.trace import TraceCollector, TraceSpec
 
+    if hasattr(DataQueueManager, "_finalize_probed"):
+        raise SystemExit("bench_trace: the DQM grew a probed finalize")
     cfg = MmsConfig(num_flows=16, num_segments=64, num_descriptors=64)
     plain = (DataQueueManager._dispatch, DataQueueManager._finalize)
-    probed = (DataQueueManager._dispatch_probed,
-              DataQueueManager._finalize_probed)
+    probed = (DataQueueManager._dispatch_probed, DataQueueManager._finalize)
     both = ProbeChain([MmsTelemetry(), TraceCollector(TraceSpec())])
     for probe, want in ((None, plain), (MmsTelemetry(), probed),
                         (TraceCollector(TraceSpec()), probed),

@@ -17,8 +17,10 @@ Determinism makes the replay exact: the kernel path takes no
 wall-clock or OS input, every RNG is seeded from the params, and the
 event order is pinned by the ``(time, sequence)`` contract.  The
 telemetry probe and span tracer are deliberately *not* checkpointed on
-this path -- they re-accumulate during the replay and arrive at the
-anchor in the identical state.
+this path -- their live ``on_command`` state re-accumulates during the
+replay and arrives at the anchor in the identical state, and the
+completion records (``dqm.records``, rebuilt by the same replay) reach
+them in :meth:`KernelRun.finish`, as on the stream engine.
 
 Only the ``overload`` and ``script`` workload families get kernel
 drivers: the Table 5 load/saturation workloads always route to the
@@ -36,7 +38,12 @@ from typing import TYPE_CHECKING, Any, Dict, Union
 if TYPE_CHECKING:
     from repro.checkpoint.runs import StreamRun
 
-from repro.checkpoint.runs import _build_probes, _decode_op, _script_feeder
+from repro.checkpoint.runs import (
+    _build_probes,
+    _decode_op,
+    _script_feeder,
+    script_result,
+)
 from repro.checkpoint.snapshot import (
     Checkpoint,
     CheckpointError,
@@ -47,9 +54,11 @@ from repro.core.workloads import (
     drive_port,
     overload_drain_ops,
     overload_feed_ops,
+    overload_horizon_ps,
+    overload_pacing_ps,
+    replay,
 )
-from repro.engines import harnesses
-from repro.policies.harness import OverloadResult
+from repro.policies.harness import assemble_overload_result
 from repro.sim.kernel import make_simulator
 
 #: Workload families a KernelRun can drive (see module docstring).
@@ -152,8 +161,7 @@ class KernelRun:
         mms, sim = self.mms, self.sim
 
         if self.workload == "overload":
-            drain_period, enq_period = harnesses.overload_pacing_ps(
-                mms.clock)
+            drain_period, enq_period = overload_pacing_ps(mms.clock)
             per_port = p["num_arrivals"] // 3
             self.store["dequeued"] = 0
             for port in range(3):
@@ -198,11 +206,9 @@ class KernelRun:
         """The workload's run horizon (the harness formula)."""
         p = self.params
         if self.workload == "overload":
-            drain_period, enq_period = harnesses.overload_pacing_ps(
-                self.mms.clock)
-            return harnesses.overload_horizon_ps(
-                p["num_arrivals"], enq_period, self.config.num_segments,
-                drain_period)
+            drain_period, enq_period = overload_pacing_ps(self.mms.clock)
+            return overload_horizon_ps(p["num_arrivals"], enq_period,
+                                       self.config.num_segments, drain_period)
         return p["horizon_ps"]
 
     def run(self, until_ps: int) -> None:
@@ -230,33 +236,19 @@ class KernelRun:
         )
 
     def finish(self) -> Any:
-        """Run to the horizon and assemble the workload's result with
-        the exact harness arithmetic."""
+        """Run to the horizon, replay the completion records to the
+        probe and assemble the workload's result with the exact harness
+        arithmetic."""
         p = self.params
         self.sim.run(until_ps=self.horizon)
+        mms = self.mms
+        replay(mms.dqm.records, self.probe)
         if self.workload == "overload":
-            stats = self.mms.policy.stats
-            return OverloadResult(
-                policy=self.config.policy.name,
-                shape=p["shape"],
-                offered_segments=stats.offered_segments,
-                offered_bytes=stats.offered_bytes,
-                accepted_segments=stats.accepted_segments,
-                accepted_bytes=stats.accepted_bytes,
-                dropped_segments=stats.dropped_segments,
-                dropped_bytes=stats.dropped_bytes,
-                pushed_out_segments=stats.pushed_out_segments,
-                pushed_out_bytes=stats.pushed_out_bytes,
-                dequeued_segments=self.store["dequeued"],
-                residual_segments=self.mms.policy.total_segments,
-                capacity_segments=self.config.num_segments,
-                elapsed_ps=self.sim.now,
-                engine=p.get("engine_label", "reference"),
-            )
-        return {
-            "elapsed_ps": self.sim.now,
-            "counters": dict(self.store),
-        }
+            return assemble_overload_result(
+                mms.policy, self.config, p["shape"], self.store["dequeued"],
+                self.sim.now, p.get("engine_label", "reference"))
+        return script_result(mms.commands_executed, self.sim.now,
+                             self.store)
 
 
 def resume_run(ckpt: Checkpoint) -> Union["StreamRun", "KernelRun"]:

@@ -21,7 +21,7 @@ fuzzes this over random split points).  Three ingredients deliver it:
 * the feeders re-reach their suspension points by tape replay
   (:mod:`.feeders`),
 * the results are assembled by the *same* functions the harnesses use
-  (:mod:`repro.engines.harnesses`), so there is no second copy of the
+  (:mod:`repro.core.workloads`), so there is no second copy of the
   warm-up windowing or counter arithmetic to drift.
 
 Params are plain JSON dicts (built by the ``*_params`` helpers) and
@@ -51,22 +51,30 @@ from repro.checkpoint.stream_state import restore_stream, snapshot_stream
 from repro.core.commands import CommandType
 from repro.core.mms import MmsConfig
 from repro.core.workloads import (
+    FOUR_PORTS,
+    SATURATION_HORIZON_PS,
+    assemble_load_result,
+    assemble_saturation_result,
     load_feed_ops,
+    load_horizon_ps,
+    load_prefill_packets,
+    load_volley_period_ps,
     overload_drain_ops,
     overload_feed_ops,
+    overload_horizon_ps,
+    overload_pacing_ps,
+    replay,
     saturation_feed_ops,
+    saturation_prefill_packets,
 )
-from repro.engines import harnesses
 from repro.engines.stream import StreamMms
+from repro.policies.harness import assemble_overload_result
 from repro.telemetry.collector import MmsTelemetry
 from repro.telemetry.probe import Probe, ProbeChain, TelemetrySpec
 from repro.trace.spans import TraceCollector, TraceSpec
 
 #: Workload families a StreamRun can drive.
 STREAM_WORKLOADS = ("load", "saturation", "overload", "script")
-
-#: The Table 5 / saturation harnesses feed these four ports.
-_FOUR_PORTS = ((True, 0), (False, 0), (True, 1), (False, 1))
 
 
 # ==================================================== params builders
@@ -158,6 +166,16 @@ def script_params(config: MmsConfig, scripts: Sequence[Sequence[Any]], *,
         "drain": drain,
         "drain_period_ps": drain_period_ps,
         "drain_active_flows": drain_active_flows,
+    }
+
+
+def script_result(commands_executed: int, elapsed_ps: int,
+                  counters: Dict[str, int]) -> Dict[str, Any]:
+    """The result of a finished ``script`` run, on either engine."""
+    return {
+        "commands_executed": commands_executed,
+        "elapsed_ps": elapsed_ps,
+        "counters": dict(counters),
     }
 
 
@@ -261,13 +279,12 @@ class StreamRun:
         if self.workload == "load":
             self.eng.prefill(
                 range(p["active_flows"]),
-                packets_per_flow=harnesses.load_prefill_packets(
-                    p["active_flows"]))
+                packets_per_flow=load_prefill_packets(p["active_flows"]))
         elif self.workload == "saturation":
             per_port = p["num_commands"] // 4
             self.eng.prefill(
                 range(p["active_flows"]),
-                packets_per_flow=harnesses.saturation_prefill_packets(
+                packets_per_flow=saturation_prefill_packets(
                     per_port, p["active_flows"]))
         elif self.workload == "overload":
             self.store["dequeued"] = 0
@@ -304,12 +321,12 @@ class StreamRun:
         out: List[Tuple[int, Callable[[Tape], Iterator[Any]]]] = []
 
         if self.workload == "load":
-            period = harnesses.load_volley_period_ps(p["offered_gbps"])
+            period = load_volley_period_ps(p["offered_gbps"])
 
             def now() -> int:
                 return eng.now
 
-            for port, (enqueue, phase) in enumerate(_FOUR_PORTS):
+            for port, (enqueue, phase) in enumerate(FOUR_PORTS):
                 def factory(tape: Tape, port: int = port,
                             enqueue: bool = enqueue,
                             phase: int = phase) -> Iterator[Any]:
@@ -321,7 +338,7 @@ class StreamRun:
 
         elif self.workload == "saturation":
             per_port = p["num_commands"] // 4
-            for port, (enqueue, phase) in enumerate(_FOUR_PORTS):
+            for port, (enqueue, phase) in enumerate(FOUR_PORTS):
                 def factory(tape: Tape, enqueue: bool = enqueue,
                             phase: int = phase) -> Iterator[Any]:
                     # pure feeder: the tape stays empty, which is itself
@@ -331,8 +348,7 @@ class StreamRun:
                 out.append((port, factory))
 
         elif self.workload == "overload":
-            drain_period, enq_period = harnesses.overload_pacing_ps(
-                eng.clock)
+            drain_period, enq_period = overload_pacing_ps(eng.clock)
             per_port = p["num_arrivals"] // 3
             for port in range(3):
                 def factory(tape: Tape, port: int = port) -> Iterator[Any]:
@@ -379,17 +395,14 @@ class StreamRun:
         harness uses)."""
         p = self.params
         if self.workload == "load":
-            return harnesses.load_horizon_ps(
-                p["num_volleys"],
-                harnesses.load_volley_period_ps(p["offered_gbps"]))
+            return load_horizon_ps(p["num_volleys"],
+                                   load_volley_period_ps(p["offered_gbps"]))
         if self.workload == "saturation":
-            return harnesses.SATURATION_HORIZON_PS
+            return SATURATION_HORIZON_PS
         if self.workload == "overload":
-            drain_period, enq_period = harnesses.overload_pacing_ps(
-                self.eng.clock)
-            return harnesses.overload_horizon_ps(
-                p["num_arrivals"], enq_period, self.config.num_segments,
-                drain_period)
+            drain_period, enq_period = overload_pacing_ps(self.eng.clock)
+            return overload_horizon_ps(p["num_arrivals"], enq_period,
+                                       self.config.num_segments, drain_period)
         return p["horizon_ps"]
 
     def run(self, until_ps: int) -> None:
@@ -415,28 +428,28 @@ class StreamRun:
         )
 
     def finish(self) -> Any:
-        """Run to the horizon and assemble the workload's result with
-        the exact harness arithmetic."""
+        """Run to the horizon, replay the completion records to the
+        probe and assemble the workload's result with the exact harness
+        arithmetic."""
         p = self.params
         horizon = self.horizon
-        self.eng.run(horizon)
+        eng = self.eng
+        eng.run(horizon)
         if self.workload == "load":
-            return harnesses.assemble_load_result(
-                self.eng, self.probe, horizon, p["warmup_volleys"],
-                p["offered_gbps"])
+            return assemble_load_result(
+                replay(eng.completion_records(horizon), self.probe),
+                p["warmup_volleys"], p["offered_gbps"], "fast")
         if self.workload == "saturation":
-            return harnesses.assemble_saturation_result(
-                self.eng, self.probe, horizon)
+            return assemble_saturation_result(
+                replay(eng.completion_records(horizon), self.probe),
+                eng.commands_executed, eng.clock.period_ps, "fast")
+        if self.probe is not None:
+            replay(eng.completion_records(horizon), self.probe)
         if self.workload == "overload":
-            return harnesses.assemble_overload_result(
-                self.eng, self.config, p["shape"], self.store, horizon,
-                probe=self.probe,
-                engine_label=p.get("engine_label", "fast"))
-        return {
-            "commands_executed": self.eng.commands_executed,
-            "elapsed_ps": self.eng.now,
-            "counters": dict(self.store),
-        }
+            return assemble_overload_result(
+                eng.policy, self.config, p["shape"], self.store["dequeued"],
+                eng.now, p.get("engine_label", "fast"))
+        return script_result(eng.commands_executed, eng.now, self.store)
 
 
 def run_with_checkpoints(run: StreamRun, every_ps: int,

@@ -145,7 +145,7 @@ def validate_checkpoint_dict(d: Mapping[str, Any]) -> List[str]:
 _CONFIG_SCALARS = (
     "clock_mhz", "num_flows", "num_segments", "num_descriptors",
     "num_banks", "reorder_window", "dmc_pipeline_ns", "strict_microcode",
-    "keep_samples", "overlap_data", "policy_seed", "policy_records",
+    "overlap_data", "policy_seed", "policy_records",
 )
 
 _POLICY_FIELDS = ("name", "per_queue_limit", "alpha", "red_min_frac",

@@ -63,7 +63,8 @@ class Command:
 
     Life-cycle timestamps (picoseconds) are filled in by the blocks:
     ``submit_ps`` by the port, ``start_exec_ps``/``end_exec_ps`` by the
-    DQM, ``data_done_ps`` by the DMC.
+    DQM.  The data-transfer bounds land in the command's completion
+    record (:attr:`repro.core.dqm.DataQueueManager.records`).
     """
 
     type: CommandType
@@ -78,10 +79,6 @@ class Command:
     submit_ps: int = -1
     start_exec_ps: int = -1
     end_exec_ps: int = -1
-    data_done_ps: int = -1
-    #: Dispatch index stamped by the probed DQM dispatch (the completion
-    #: record's ``seq``); -1 when no probe is installed.
-    trace_seq: int = -1
     #: Optional simulation event; when set, the DQM triggers it with the
     #: command's functional result at end of execution (see
     #: :meth:`repro.core.mms.MMS.submit_and_wait`).

@@ -11,20 +11,27 @@ Data accesses overlap execution: the first pointer access of every
 schedule yields the data-memory address, and the DMC is handed the
 transfer one cycle later -- "the actual data accesses at the Data Memory
 can be done, almost, in parallel with the pointer handling".
+
+Every command leaves one completion record in :attr:`DataQueueManager.records`
+-- its picosecond stage bounds and the Section 6.1 split into FIFO,
+execution and data latency -- which the harnesses fold into Table 5's
+means and replay to any observer after the run.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.commands import Command, CommandType
 from repro.core.dmc import DataMemoryController
-from repro.core.latency import LatencyBreakdown
 from repro.core.microcode import SCHEDULE_COSTS
 from repro.policies.base import DroppedSegment
 from repro.queueing import PacketQueueManager
 from repro.sim import Clock, Simulator
+
+if TYPE_CHECKING:
+    from repro.telemetry.probe import CompletionRecord
 
 #: Per-command timing tuple used on the execute hot path:
 #: (handoff_ps, tail_ps, latency_cycles, execution_cycles_f, ptr_accesses)
@@ -66,7 +73,6 @@ class DataQueueManager:
 
     def __init__(self, sim: Simulator, clock: Clock,
                  pqm: PacketQueueManager, dmc: Optional[DataMemoryController],
-                 breakdown: LatencyBreakdown,
                  strict_microcode: bool = False,
                  overlap_data: bool = True,
                  probe: Optional[Any] = None) -> None:
@@ -74,26 +80,28 @@ class DataQueueManager:
         self.clock = clock
         self.pqm = pqm
         self.dmc = dmc
-        self.breakdown = breakdown
         self.strict_microcode = strict_microcode
         #: Ablation A5: when False, the data access is issued only after
         #: the pointer work completes (what the MMS design avoids --
         #: Section 6.1 credits the overlap for the 10.5-cycle overhead).
         self.overlap_data = overlap_data
         self.commands_executed = 0
+        #: One completion record per finished command, in delivery
+        #: order (see :data:`~repro.telemetry.probe.CompletionRecord`).
+        self.records: List[CompletionRecord] = []
         # Memoized per-command timing for this clock domain; both overlap
         # variants are kept so flipping the ablation flag stays valid.
         self._timing_overlap = _timing_table(clock.period_ps, True)
         self._timing_serial = _timing_table(clock.period_ps, False)
         #: Optional telemetry probe (:mod:`repro.telemetry`).  The
-        #: probed dispatch/finalize variants are swapped in as instance
-        #: attributes *only* when a probe exists, so the probes-off hot
-        #: path carries no telemetry call sites at all (structural
-        #: absence, not an inert per-command branch).
+        #: probed dispatch is swapped in as an instance attribute *only*
+        #: when a probe exists, so the probes-off hot path carries no
+        #: telemetry call sites at all (structural absence, not an inert
+        #: per-command branch).  Completion records reach the probe by
+        #: replay after the run, never from here.
         self.probe = probe
         if probe is not None:
             self._dispatch = self._dispatch_probed  # type: ignore[assignment]
-            self._finalize = self._finalize_probed  # type: ignore[assignment]
 
     # ----------------------------------------------------------- execute
 
@@ -134,52 +142,44 @@ class DataQueueManager:
                                          tag=cmd.cid)
         yield tail_ps
         cmd.end_exec_ps = self.sim.now
-        self.commands_executed += 1
+        seq = self.commands_executed
+        self.commands_executed = seq + 1
         if cmd.completion is not None:
             cmd.completion.trigger(result)
-        self.sim.spawn(self._finalize(cmd, exec_cycles_f, data_event),
+        self.sim.spawn(self._finalize(cmd, seq, exec_cycles_f, data_event),
                        name=f"fin{cmd.cid}")
 
-    def _finalize(self, cmd: Command, exec_cycles_f: float, data_event):
+    def _finalize(self, cmd: Command, seq: int, exec_cycles_f: float,
+                  data_event):
+        """Append the command's completion record when its data transfer
+        completes (at end of execution for commands without one).
+        ``seq`` is the dispatch index: the DQM is serial, so it is the
+        ``commands_executed`` count before this command."""
         period = self.clock.period_ps
-        data_cycles = 0.0
-        data_submit_ps = -1
+        end = cmd.end_exec_ps
         if data_event is not None:
             req = yield data_event
-            cmd.data_done_ps = self.sim.now
-            data_cycles = (req.total_ps) / period
-            data_submit_ps = req.submit_ps
+            data_submit = req.submit_ps
+            data_done = self.sim.now
+            data_cycles = req.total_ps / period
+            completion = max(end, data_done)
         else:
-            cmd.data_done_ps = cmd.end_exec_ps
             yield 0
-        fifo_cycles = (cmd.start_exec_ps - cmd.submit_ps) / period \
-            if cmd.submit_ps >= 0 else 0.0
-        submit = cmd.submit_ps if cmd.submit_ps >= 0 else cmd.start_exec_ps
-        completion = max(cmd.end_exec_ps, cmd.data_done_ps)
-        end_to_end_cycles = (completion - submit) / period
-        self.breakdown.record_parts(
-            fifo_cycles=fifo_cycles,
-            execution_cycles=exec_cycles_f,
-            data_cycles=data_cycles,
-            end_to_end_cycles=end_to_end_cycles,
-        )
-        return fifo_cycles, data_cycles, end_to_end_cycles, data_submit_ps
-
-    def _finalize_probed(self, cmd: Command, exec_cycles_f: float,
-                         data_event):
-        """Probed variant of :meth:`_finalize`: the same breakdown
-        update (by delegation), then the command's completion record
-        (:data:`repro.telemetry.probe.CompletionRecord`) to the probe's
-        ``on_record`` at the delivery instant."""
-        fifo_cycles, data_cycles, end_to_end_cycles, data_submit_ps = \
-            yield from DataQueueManager._finalize(self, cmd, exec_cycles_f,
-                                                  data_event)
-        data_done_ps = cmd.data_done_ps if data_submit_ps >= 0 else -1
-        self.probe.on_record((
-            self.sim.now, cmd.trace_seq, cmd.type, cmd.flow,
-            cmd.submit_ps, cmd.start_exec_ps, cmd.end_exec_ps,
-            data_submit_ps, data_done_ps,
-            fifo_cycles, exec_cycles_f, data_cycles, end_to_end_cycles))
+            data_submit = data_done = -1
+            data_cycles = 0.0
+            completion = end
+        submit = cmd.submit_ps
+        start = cmd.start_exec_ps
+        if submit >= 0:
+            fifo_cycles = (start - submit) / period
+            base = submit
+        else:
+            fifo_cycles = 0.0
+            base = start
+        self.records.append((
+            self.sim.now, seq, cmd.type, cmd.flow, submit, start, end,
+            data_submit, data_done, fifo_cycles, exec_cycles_f,
+            data_cycles, (completion - base) / period))
 
     # ---------------------------------------------------------- dispatch
 
@@ -239,13 +239,10 @@ class DataQueueManager:
         raise ValueError(f"unknown command type {t}")
 
     def _dispatch_probed(self, cmd: Command):
-        """Probed variant of :meth:`_dispatch`: stamps the dispatch
-        index first (the DQM is serial, so ``commands_executed`` at the
-        pop instant *is* the dispatch order both engines share), runs
-        the functional operation, then calls the probe's ``on_command``
-        with the post-dispatch occupancy (the stream engine emits the
-        identical call at the identical pop instant)."""
-        cmd.trace_seq = self.commands_executed
+        """Probed variant of :meth:`_dispatch`: runs the functional
+        operation, then calls the probe's ``on_command`` with the
+        post-dispatch occupancy (the stream engine emits the identical
+        call at the identical pop instant)."""
         out = DataQueueManager._dispatch(self, cmd)
         pqm = self.pqm
         self.probe.on_command(self.sim.now, cmd.type, cmd.flow, out[0],

@@ -16,7 +16,6 @@ from typing import Iterator, Optional
 from repro.core.commands import Command
 from repro.core.dmc import DataMemoryController
 from repro.core.dqm import DataQueueManager
-from repro.core.latency import LatencyBreakdown
 from repro.core.reassembly import ReassemblyBlock
 from repro.core.scheduler import DEFAULT_PORTS, InternalScheduler, PortConfig
 from repro.core.segmentation import SegmentationBlock
@@ -47,7 +46,6 @@ class MmsConfig:
     dmc_pipeline_ns: int = 135
     ports: tuple[PortConfig, ...] = DEFAULT_PORTS
     strict_microcode: bool = False
-    keep_samples: bool = False
     #: Ablation A5: overlap data transfers with pointer work (the MMS
     #: design point); False serializes them.
     overlap_data: bool = True
@@ -89,18 +87,15 @@ class MMS:
                                       num_segments=config.num_segments,
                                       num_descriptors=config.num_descriptors,
                                       policy=self.policy)
-        self.breakdown = LatencyBreakdown(self.clock,
-                                          keep_samples=config.keep_samples)
         self.dmc = DataMemoryController(self.sim, self.clock,
                                         num_banks=config.num_banks,
                                         reorder_window=config.reorder_window,
                                         pipeline_overhead_ns=config.dmc_pipeline_ns)
         #: Optional telemetry probe (:mod:`repro.telemetry`); forwarded
-        #: to the DQM, which swaps in its probed dispatch/finalize
-        #: variants only when one is present.
+        #: to the DQM, which swaps in its probed dispatch only when one
+        #: is present.
         self.probe = probe
         self.dqm = DataQueueManager(self.sim, self.clock, self.pqm, self.dmc,
-                                    self.breakdown,
                                     strict_microcode=config.strict_microcode,
                                     overlap_data=config.overlap_data,
                                     probe=probe)
@@ -190,8 +185,10 @@ class MmsLoadResult:
     fifo_cycles: float
     execution_cycles: float
     data_cycles: float
-    #: True mean submit-to-completion latency (see LatencyBreakdown);
-    #: equals the additive total only when pointer/data work serializes.
+    #: True mean submit-to-completion latency (completion = the later of
+    #: execution end and data-transfer end); equals the additive total
+    #: only when pointer/data work serializes -- what ablation A5
+    #: measures.
     end_to_end_cycles: float = 0.0
     #: Execution engine the run used ("fast" = calendar-queue kernel,
     #: "reference" = heapq ordering spec); results are identical.
@@ -259,8 +256,10 @@ def run_load(offered_gbps: float, num_volleys: int = 2500,
         raise ValueError(f"burst_prob must be in [0,1], got {burst_prob}")
     if burst_len < 1:
         raise ValueError(f"burst_len must be >= 1, got {burst_len}")
-    from repro.core.workloads import (LOAD_LAG_VOLLEYS, drive_port,
-                                      load_feed_ops)
+    from repro.core.workloads import (FOUR_PORTS, assemble_load_result,
+                                      drive_port, load_feed_ops,
+                                      load_horizon_ps, load_prefill_packets,
+                                      load_volley_period_ps, replay)
 
     if engine == "fast":
         from repro.engines import stream_run_load, stream_supports
@@ -273,13 +272,9 @@ def run_load(offered_gbps: float, num_volleys: int = 2500,
 
     mms = MMS(config, sim=make_simulator(engine), probe=probe)
     sim = mms.sim
-    # each flow is enqueued once per active_flows/2 volleys; the dequeue
-    # stream lags by LOAD_LAG_VOLLEYS, so a small per-flow backlog
-    # suffices
     mms.prefill(range(active_flows),
-                packets_per_flow=(2 * LOAD_LAG_VOLLEYS) // active_flows + 4)
-
-    volley_period_ps = round(4 * BITS_PER_OP / offered_gbps * 1000)
+                packets_per_flow=load_prefill_packets(active_flows))
+    volley_period_ps = load_volley_period_ps(offered_gbps)
 
     def feed(port: int, enqueue: bool, phase: int):
         ops = load_feed_ops(lambda: sim.now, port, enqueue, phase,
@@ -287,45 +282,11 @@ def run_load(offered_gbps: float, num_volleys: int = 2500,
                             burst_len, burst_prob, seed)
         return drive_port(mms, port, ops)
 
-    sim.spawn(feed(0, True, 0), name="in")
-    sim.spawn(feed(1, False, 0), name="out")
-    sim.spawn(feed(2, True, 1), name="cpu0")
-    sim.spawn(feed(3, False, 1), name="cpu1")
-
-    # fresh recorders after warm-up for clean steady-state means
-    horizon = (num_volleys + 64) * volley_period_ps + 10 * SEC // 1000
-    warm_breakdown = LatencyBreakdown(mms.clock, keep_samples=config.keep_samples)
-    original_record_parts = mms.breakdown.record_parts
-    state = {"t0": None, "t_last": 0}
-
-    # Hook the parts-level recorder every DQM finalize feeds.
-    def recording_with_warmup(fifo_cycles, execution_cycles, data_cycles,
-                              end_to_end_cycles=0.0):
-        original_record_parts(fifo_cycles, execution_cycles, data_cycles,
-                              end_to_end_cycles)
-        state["t_last"] = sim.now
-        if mms.breakdown.count == warmup_volleys * 4:
-            state["t0"] = sim.now
-        if state["t0"] is not None and mms.breakdown.count > warmup_volleys * 4:
-            warm_breakdown.record_parts(fifo_cycles, execution_cycles,
-                                        data_cycles, end_to_end_cycles)
-
-    mms.breakdown.record_parts = recording_with_warmup  # type: ignore[assignment]
-    sim.run(until_ps=horizon)
-
-    elapsed = state["t_last"] - (state["t0"] or 0)
-    use = warm_breakdown if warm_breakdown.count else mms.breakdown
-    row = use.row()
-    return MmsLoadResult(
-        offered_gbps=offered_gbps,
-        completed_ops=use.count,
-        elapsed_ps=elapsed,
-        fifo_cycles=row["fifo"],
-        execution_cycles=row["execution"],
-        data_cycles=row["data"],
-        end_to_end_cycles=use.end_to_end.mean,
-        engine=engine,
-    )
+    for port, (enqueue, phase) in enumerate(FOUR_PORTS):
+        sim.spawn(feed(port, enqueue, phase), name=f"port{port}")
+    sim.run(until_ps=load_horizon_ps(num_volleys, volley_period_ps))
+    return assemble_load_result(replay(mms.dqm.records, probe),
+                                warmup_volleys, offered_gbps, engine)
 
 
 def run_saturation(num_commands: int = 8000,
@@ -339,7 +300,10 @@ def run_saturation(num_commands: int = 8000,
     operating at 125MHz ... the overall bandwidth the MMS supports is
     6.145 Gbps" (our model: 1/10.5 cycles = 11.9 Mops ~ 6.1 Gbps).
     """
-    from repro.core.workloads import drive_port, saturation_feed_ops
+    from repro.core.workloads import (FOUR_PORTS, SATURATION_HORIZON_PS,
+                                      assemble_saturation_result, drive_port,
+                                      replay, saturation_feed_ops,
+                                      saturation_prefill_packets)
 
     if engine == "fast":
         from repro.engines import stream_run_saturation, stream_supports
@@ -352,38 +316,21 @@ def run_saturation(num_commands: int = 8000,
     mms = MMS(config, sim=make_simulator(engine), probe=probe)
     sim = mms.sim
     per_port = num_commands // 4
-    mms.prefill(range(active_flows), packets_per_flow=per_port * 2 // active_flows + 2)
+    mms.prefill(range(active_flows),
+                packets_per_flow=saturation_prefill_packets(per_port,
+                                                            active_flows))
 
     def feed(port: int, enqueue: bool, phase: int):
         return drive_port(mms, port,
                           saturation_feed_ops(enqueue, phase, per_port,
                                               active_flows))
 
-    sim.spawn(feed(0, True, 0), name="in")
-    sim.spawn(feed(1, False, 0), name="out")
-    sim.spawn(feed(2, True, 1), name="cpu0")
-    sim.spawn(feed(3, False, 1), name="cpu1")
-    sim.run(until_ps=60 * SEC)
-    row = mms.breakdown.row()
-    return MmsLoadResult(
-        offered_gbps=float("inf"),
-        completed_ops=mms.breakdown.count,
-        elapsed_ps=_last_execution_ps(mms),
-        fifo_cycles=row["fifo"],
-        execution_cycles=row["execution"],
-        data_cycles=row["data"],
-        end_to_end_cycles=mms.breakdown.end_to_end.mean,
-        engine=engine,
-    )
-
-
-def _last_execution_ps(mms: MMS) -> int:
-    """Time span of command execution (saturation rate denominator)."""
-    # the DQM runs back-to-back under saturation; its executed count and
-    # the average latency bound the span tightly
-    return round(mms.commands_executed
-                 * mms.breakdown.execution.mean
-                 * mms.clock.period_ps)
+    for port, (enqueue, phase) in enumerate(FOUR_PORTS):
+        sim.spawn(feed(port, enqueue, phase), name=f"port{port}")
+    sim.run(until_ps=SATURATION_HORIZON_PS)
+    return assemble_saturation_result(replay(mms.dqm.records, probe),
+                                      mms.commands_executed,
+                                      mms.clock.period_ps, engine)
 
 
 def figure2_diagram() -> str:

@@ -20,14 +20,33 @@ reference event sequence is unchanged); the stream engine consumes the
 same generators natively.  Time-dependent pacing reads the current
 simulated time through ``now_fn``, which each execution path binds to
 its own clock.
+
+The pacing, prefill and horizon formulas, and the folds that turn a
+run's completion records (:data:`~repro.telemetry.probe.CompletionRecord`)
+into its result, live here too: every driver of a workload -- the
+kernel harnesses, the stream harnesses (:mod:`repro.engines.harnesses`)
+and the checkpoint-aware runs (:mod:`repro.checkpoint`) -- calls the
+same functions, so their results are equal by construction.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from operator import itemgetter
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.commands import Command, CommandType
+from repro.core.mms import BITS_PER_OP, MmsLoadResult
+from repro.sim.clock import Clock, SEC
+from repro.telemetry.probe import (
+    REC_DATA,
+    REC_E2E,
+    REC_EXECUTION,
+    REC_FIFO,
+    REC_TIME,
+    CompletionRecord,
+)
 
 #: Micro-op vocabulary (see module docstring).
 FeederOp = Union[int, Tuple[CommandType, int, Optional[int], bool, int]]
@@ -35,6 +54,13 @@ FeederOp = Union[int, Tuple[CommandType, int, Optional[int], bool, int]]
 #: The dequeue stream of the Table 5 harness lags the enqueue stream by
 #: this many volleys, so a small per-flow backlog suffices.
 LOAD_LAG_VOLLEYS = 16
+
+#: Saturation harness horizon (far beyond any drain time).
+SATURATION_HORIZON_PS = 60 * SEC
+
+#: ``(enqueue, phase)`` of the four ports -- In, Out, CPU0, CPU1 -- the
+#: Table 5 and saturation harnesses feed.
+FOUR_PORTS = ((True, 0), (False, 0), (True, 1), (False, 1))
 
 
 def to_command(op: Tuple[CommandType, int, Optional[int], bool, int]
@@ -99,6 +125,24 @@ def load_feed_ops(now_fn: Callable[[], int], port: int, enqueue: bool,
         volley += emit  # a burst consumes its later volley slots
 
 
+def load_volley_period_ps(offered_gbps: float) -> int:
+    """Volley pacing of the Table 5 harness at one offered load."""
+    return round(4 * BITS_PER_OP / offered_gbps * 1000)
+
+
+def load_prefill_packets(active_flows: int) -> int:
+    """Per-flow prefill depth of the Table 5 harness: each flow is
+    enqueued once per ``active_flows / 2`` volleys and the dequeue
+    stream lags by ``LOAD_LAG_VOLLEYS``, so a small backlog
+    suffices."""
+    return (2 * LOAD_LAG_VOLLEYS) // active_flows + 4
+
+
+def load_horizon_ps(num_volleys: int, volley_period_ps: int) -> int:
+    """Run horizon of the Table 5 harness."""
+    return (num_volleys + 64) * volley_period_ps + 10 * SEC // 1000
+
+
 # ================================================== saturation feed
 
 def saturation_feed_ops(enqueue: bool, phase: int, per_port: int,
@@ -110,7 +154,30 @@ def saturation_feed_ops(enqueue: bool, phase: int, per_port: int,
         yield (kind, (2 * i + phase) % active_flows, None, True, 64)
 
 
+def saturation_prefill_packets(per_port: int, active_flows: int) -> int:
+    """Per-flow prefill depth of the saturation harness."""
+    return per_port * 2 // active_flows + 2
+
+
 # ==================================================== overload feeds
+
+def overload_pacing_ps(clock: Clock) -> Tuple[int, int]:
+    """``(drain_period_ps, enq_period_ps)`` of the overload harness:
+    the DQM serves one command per ~10.5 cycles, the drain dequeues at
+    twice that interval, and the three enqueue ports together offer
+    four segments per drain slot -- 2x oversubscription."""
+    service_ps = round(10.5 * clock.period_ps)
+    drain_period = 2 * service_ps
+    return drain_period, 3 * drain_period // 4
+
+
+def overload_horizon_ps(num_arrivals: int, enq_period_ps: int,
+                        num_segments: int, drain_period_ps: int) -> int:
+    """Run horizon of the overload harness."""
+    return (num_arrivals * 16 * enq_period_ps
+            + num_segments * 4 * drain_period_ps
+            + SEC // 1000)
+
 
 def overload_feed_ops(shape: str, port: int, per_port: int,
                       active_flows: int, enq_period_ps: int,
@@ -164,3 +231,103 @@ def overload_drain_ops(queued_packets: Callable[[int], int],
         else:
             if counters.get("feeders_done", 0) == 3:
                 return
+
+
+# ====================================================== result folds
+
+#: The completion-record fields the Table 5 breakdown folds read.
+_CYCLES = itemgetter(REC_FIFO, REC_EXECUTION, REC_DATA, REC_E2E)
+
+
+def replay(records: List[CompletionRecord], probe
+           ) -> List[CompletionRecord]:
+    """Deliver a finished run's completion records to the probe's
+    ``on_record`` in delivery order (nothing without a probe) and
+    return them.
+
+    Both engines collect the records during the run -- the kernel DQM
+    appends them to ``dqm.records`` as its finalize processes resume,
+    the stream machine derives them in the same order
+    (:meth:`~repro.engines.stream.StreamMms.completion_records`) -- so
+    one replay after the run gives every observer the identical
+    stream."""
+    if probe is not None:
+        on_record = probe.on_record
+        for record in records:
+            on_record(record)
+    return records
+
+
+def fold_cycle_means(records: Sequence[CompletionRecord]
+                     ) -> Tuple[int, float, float, float, float]:
+    """``(count, fifo, execution, data, end_to_end)``: the record count
+    and the mean of each cycle field, in one pass.
+
+    Each mean follows :class:`~repro.sim.stats.RunningStats`' exact
+    recurrence ``m += (x - m) / n``, so it is bit-identical to a
+    ``RunningStats`` fed the same values in the same order.
+    """
+    n = 0
+    fifo = execution = data = e2e = 0.0
+    for fifo_c, exec_c, data_c, e2e_c in map(_CYCLES, records):
+        n += 1
+        fifo += (fifo_c - fifo) / n
+        execution += (exec_c - execution) / n
+        data += (data_c - data) / n
+        e2e += (e2e_c - e2e) / n
+    return n, fifo, execution, data, e2e
+
+
+def warm_window(records: Sequence[CompletionRecord], boundary: int
+                ) -> Tuple[int, int, Sequence[CompletionRecord]]:
+    """``(t0, t_last, window)``: the Table 5 warm-up window.
+
+    The window is every record after the first ``boundary``, or every
+    record when none lies beyond it; ``t0`` is the time of the last
+    record before the window (0 when the boundary is not inside the
+    record list) and ``t_last`` the time of the last record (0 without
+    records)."""
+    t_last = records[-1][REC_TIME] if records else 0
+    t0 = records[boundary - 1][REC_TIME] \
+        if 0 < boundary <= len(records) else 0
+    window = records[boundary:] if 0 <= boundary < len(records) \
+        else records
+    return t0, t_last, window
+
+
+def assemble_load_result(records: Sequence[CompletionRecord],
+                         warmup_volleys: int, offered_gbps: float,
+                         engine: str) -> MmsLoadResult:
+    """One Table 5 row: the means over the warm window after
+    ``warmup_volleys`` four-port volleys, over its time span."""
+    t0, t_last, window = warm_window(records, warmup_volleys * 4)
+    count, fifo, execution, data, e2e = fold_cycle_means(window)
+    return MmsLoadResult(
+        offered_gbps=offered_gbps,
+        completed_ops=count,
+        elapsed_ps=t_last - t0,
+        fifo_cycles=fifo,
+        execution_cycles=execution,
+        data_cycles=data,
+        end_to_end_cycles=e2e,
+        engine=engine,
+    )
+
+
+def assemble_saturation_result(records: Sequence[CompletionRecord],
+                               commands_executed: int, period_ps: int,
+                               engine: str) -> MmsLoadResult:
+    """The headline row: means over every record.  The DQM runs
+    back-to-back under saturation, so the executed count times the mean
+    execution latency bounds the busy span tightly."""
+    count, fifo, execution, data, e2e = fold_cycle_means(records)
+    return MmsLoadResult(
+        offered_gbps=float("inf"),
+        completed_ops=count,
+        elapsed_ps=round(commands_executed * execution * period_ps),
+        fifo_cycles=fifo,
+        execution_cycles=execution,
+        data_cycles=data,
+        end_to_end_cycles=e2e,
+        engine=engine,
+    )

@@ -646,13 +646,13 @@ class StreamMms:
         """Per-command completion records in kernel delivery order.
 
         Each entry is a :data:`repro.telemetry.probe.CompletionRecord`
-        -- exactly what the kernel path's probed finalize hands
-        ``on_record`` (and, as its cycle fields, what every
-        ``_finalize`` feeds ``record_parts``), in the order those
-        processes resume.  ``seq`` is the dispatch
+        -- exactly what the kernel DQM's ``_finalize`` appends to
+        ``dqm.records``, in the order those processes resume; the
+        harnesses fold it into the run's result and replay it to the
+        probe (:mod:`repro.core.workloads`).  ``seq`` is the dispatch
         index: the DQM is serial, so completion (append) order in
         ``_done`` *is* dispatch order, shared with the kernel's
-        ``commands_executed`` stamp.  Records are delivered when the
+        ``commands_executed`` count.  Records are delivered when the
         data transfer completes (data commands) or at end of execution
         (pointer-only and policy-dropped commands, whose data bounds are
         -1).  The kernel's within-timestamp FIFO contract puts a

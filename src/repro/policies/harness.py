@@ -41,9 +41,11 @@ from repro.core.workloads import (
     drive_port,
     overload_drain_ops,
     overload_feed_ops,
+    overload_horizon_ps,
+    overload_pacing_ps,
+    replay,
 )
-from repro.policies.base import PolicySpec
-from repro.sim.clock import SEC
+from repro.policies.base import BufferPolicy, PolicySpec
 from repro.sim.kernel import make_simulator
 
 #: Traffic shapes of the overload scenario family.
@@ -99,6 +101,31 @@ class OverloadResult:
         }
 
 
+def assemble_overload_result(policy: BufferPolicy, config: MmsConfig,
+                             shape: str, dequeued: int, elapsed_ps: int,
+                             engine_label: str) -> OverloadResult:
+    """The typed loss counters of a finished overload run: the policy's
+    books, the drain's dequeue count and the final clock."""
+    stats = policy.stats
+    return OverloadResult(
+        policy=config.policy.name,
+        shape=shape,
+        offered_segments=stats.offered_segments,
+        offered_bytes=stats.offered_bytes,
+        accepted_segments=stats.accepted_segments,
+        accepted_bytes=stats.accepted_bytes,
+        dropped_segments=stats.dropped_segments,
+        dropped_bytes=stats.dropped_bytes,
+        pushed_out_segments=stats.pushed_out_segments,
+        pushed_out_bytes=stats.pushed_out_bytes,
+        dequeued_segments=dequeued,
+        residual_segments=policy.total_segments,
+        capacity_segments=config.num_segments,
+        elapsed_ps=elapsed_ps,
+        engine=engine_label,
+    )
+
+
 def run_overload(policy: PolicySpec, shape: str, *,
                  num_arrivals: int = 1200,
                  active_flows: int = 32,
@@ -136,16 +163,7 @@ def run_overload(policy: PolicySpec, shape: str, *,
 
     mms = MMS(cfg, sim=make_simulator(engine), probe=probe)
     sim = mms.sim
-    pol = mms.policy
-
-    # Pacing: the DQM serves one command per ~10.5 cycles; the drain
-    # dequeues at twice that interval and the three enqueue ports
-    # together offer four segments per drain slot -- 2x oversubscription
-    # in steady state, shaped per repro.core.workloads.overload_feed_ops.
-    service_ps = round(10.5 * mms.clock.period_ps)
-    drain_period = 2 * service_ps
-    enq_period = 3 * drain_period // 4     # per port; 3 ports
-
+    drain_period, enq_period = overload_pacing_ps(mms.clock)
     per_port = num_arrivals // 3
     counters = {"dequeued": 0}
 
@@ -161,26 +179,8 @@ def run_overload(policy: PolicySpec, shape: str, *,
                                             counters)),
               name="drain")
 
-    horizon = (num_arrivals * 16 * enq_period
-               + config.num_segments * 4 * drain_period
-               + SEC // 1000)
-    sim.run(until_ps=horizon)
-
-    stats = pol.stats
-    return OverloadResult(
-        policy=policy.name,
-        shape=shape,
-        offered_segments=stats.offered_segments,
-        offered_bytes=stats.offered_bytes,
-        accepted_segments=stats.accepted_segments,
-        accepted_bytes=stats.accepted_bytes,
-        dropped_segments=stats.dropped_segments,
-        dropped_bytes=stats.dropped_bytes,
-        pushed_out_segments=stats.pushed_out_segments,
-        pushed_out_bytes=stats.pushed_out_bytes,
-        dequeued_segments=counters["dequeued"],
-        residual_segments=pol.total_segments,
-        capacity_segments=cfg.num_segments,
-        elapsed_ps=sim.now,
-        engine=engine,
-    )
+    sim.run(until_ps=overload_horizon_ps(num_arrivals, enq_period,
+                                         cfg.num_segments, drain_period))
+    replay(mms.dqm.records, probe)
+    return assemble_overload_result(mms.policy, cfg, shape,
+                                    counters["dequeued"], sim.now, engine)

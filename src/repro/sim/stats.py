@@ -9,7 +9,7 @@ here are intentionally simple, deterministic and dependency-free.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
@@ -98,22 +98,15 @@ class TimeWeighted:
 
 
 class LatencyRecorder:
-    """Latency sample aggregator with optional full-sample retention.
+    """Named latency sample aggregator (streaming, no sample
+    retention)."""
 
-    The Table 5 experiment needs mean FIFO / execution / data delays; the
-    ablations additionally inspect tails, so samples can be kept.
-    """
-
-    def __init__(self, name: str = "latency", keep_samples: bool = False) -> None:
+    def __init__(self, name: str = "latency") -> None:
         self.name = name
         self.stats = RunningStats()
-        self.keep_samples = keep_samples
-        self.samples: List[float] = []
 
     def record(self, value: float) -> None:
         self.stats.add(value)
-        if self.keep_samples:
-            self.samples.append(value)
 
     @property
     def count(self) -> int:
@@ -130,23 +123,6 @@ class LatencyRecorder:
     @property
     def maximum(self) -> float:
         return self.stats.maximum if self.stats.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Exact percentile over retained samples (requires keep_samples)."""
-        if not self.keep_samples:
-            raise RuntimeError(f"{self.name}: samples were not retained")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = int(math.floor(rank))
-        hi = int(math.ceil(rank))
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LatencyRecorder({self.name!r}, n={self.count}, mean={self.mean:.3f})"

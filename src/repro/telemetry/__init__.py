@@ -28,7 +28,7 @@ layer that answers those questions without storing per-command samples:
 
 The probes-off contract is *structural absence*, not inertness: when no
 probe is installed, the execution hot paths contain no telemetry call
-sites at all (the probed dispatch/finalize variants are swapped in only
+sites at all (the probed dispatch variants are swapped in only
 at construction time), so the fast-path floors are unaffected.
 """
 

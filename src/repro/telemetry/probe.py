@@ -16,22 +16,23 @@ path emits at its command boundaries:
   (:data:`CompletionRecord`), indexed by the ``REC_*`` constants
   below.  It holds the dispatch index, the picosecond stage bounds and
   the Section 6.1 cycle split of the same command, so every observer
-  (telemetry histograms, span tracing, the Table 5 breakdown) folds the
-  one stream.  The kernel path emits it from the probed finalize
-  process; the stream engine replays its record stream in delivery
-  order after the run.
+  (telemetry histograms, span tracing) and the Table 5 result fold the
+  one stream.  Both engines collect the records during the run -- the
+  kernel DQM in ``dqm.records``, the stream engine in
+  ``completion_records`` -- and the harnesses replay them in delivery
+  order after the run (:func:`repro.core.workloads.replay`).
 
-The two channels carry no ordering contract *between* each other (the
-stream engine delivers all ``on_command`` calls before replaying the
-records), so probes must keep their per-channel state independent.
+The two channels carry no ordering contract *between* each other
+(every ``on_command`` call precedes the record replay), so probes must
+keep their per-channel state independent.
 Within a channel, call order and every argument are byte-identical
 across engines -- that is the identity contract ``tests/engines``
 asserts, and what makes telemetry an engine-agnostic layer.
 
 Probes are *structurally absent* when disabled: the execution paths
-swap in their probed dispatch/finalize variants only when a probe is
-installed at construction time, so the probes-off hot path contains no
-telemetry call sites (and no per-command branches) at all.
+swap in their probed dispatch only when a probe is installed at
+construction time, so the probes-off hot path contains no telemetry
+call sites (and no per-command branches) at all.
 """
 
 from __future__ import annotations

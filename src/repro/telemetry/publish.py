@@ -22,10 +22,11 @@ Design constraints, mirroring :mod:`repro.monitor.events`:
   only forwards complete lines);
 * **replay-deterministic ordering** -- frames are keyed by the
   dispatched-command count, never a clock: re-running the same spec
-  publishes the identical frame sequence (per engine -- the stream
-  engine replays completion records after its command loop, so *mid-run*
-  histogram content is engine-specific; the terminal frame is
-  byte-identical across engines, like the telemetry payload itself);
+  publishes the identical frame sequence, on either engine.  Both
+  engines replay completion records after the run, so a progress frame
+  carries the live dispatch fold (counters, occupancy) and the latency
+  histograms arrive with the terminal frame, byte-identical across
+  engines like the telemetry payload itself;
 * **structurally absent when disabled** -- nothing publishes unless a
   worker explicitly activated a publisher first: plain runs build the
   exact probe chain they always did, and no publisher means no frame

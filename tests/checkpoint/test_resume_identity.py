@@ -78,18 +78,16 @@ def _attach(run: StreamRun) -> Capture:
     return cap
 
 
-def _finalize(run: StreamRun, caps, horizon=HORIZON) -> Capture:
-    """Fold per-segment captures plus the finished run's record-derived
-    observables into one full-run Capture (the restored ``_done`` list
-    spans the whole run, so completion records and telemetry come from
-    the final engine alone)."""
+def _finalize(run: StreamRun, caps) -> Capture:
+    """Finish the run and fold per-segment captures plus its
+    record-derived observables into one full-run Capture (the restored
+    ``_done`` list spans the whole run, so completion records and
+    telemetry come from the final engine alone)."""
+    run.finish()
     cap = Capture()
     cap.traces = [t for c in caps for t in c.traces]
     cap.cmds = [c_ for c in caps for c_ in c.cmds]
-    records = run.eng.completion_records(horizon)
-    for record in records:
-        run.probe.on_record(record)
-    cap.records = records
+    cap.records = run.eng.completion_records(run.horizon)
     cap.telemetry = json.dumps(run.probe.snapshot().to_dict())
     cap.snapshot_final(run.eng.pqm, run.eng.policy, run.eng.now,
                        run.eng.commands_executed)
@@ -115,7 +113,6 @@ def split_stream_run(params, split_points):
         assert _dmc_state(resumed.eng) == _dmc_state(run.eng)
         run = resumed
         caps.append(_attach(run))
-    run.run(HORIZON)
     return run, _finalize(run, caps)
 
 
@@ -361,7 +358,6 @@ def test_drained_scripts_stream_split_identical(seed):
 
     whole = StreamRun.fresh("script", params)
     caps = [_attach(whole)]
-    whole.run(HORIZON)
     base = _finalize(whole, caps)
     base_counters = dict(whole.store)
     span = _span(base)
@@ -375,7 +371,6 @@ def test_drained_scripts_stream_split_identical(seed):
         blob = run.checkpoint().to_json()
         run = StreamRun.resume(Checkpoint.from_json(blob))
         caps.append(_attach(run))
-    run.run(HORIZON)
     assert_identical(base, _finalize(run, caps))
     assert dict(run.store) == base_counters
     assert base_counters["dequeued"] > 0

@@ -4,6 +4,7 @@ validation."""
 
 import dataclasses
 import inspect
+import json
 import types
 
 import pytest
@@ -52,6 +53,38 @@ def test_kernel_run_matches_plain_harness():
                         keep_records=True)
     run = KernelRun.fresh("overload", _overload("reference"))
     assert run.finish() == base
+
+
+def test_script_finish_is_engine_identical():
+    """Both drivers finish a ``script`` run alike: one result shape, and
+    every completion record replayed to the probe."""
+    from tests.engines.test_stream_fuzz import (
+        HORIZON, TELE_SPEC, make_mixed_scripts)
+    cfg = MmsConfig(num_flows=16, num_segments=4096, num_descriptors=2048)
+    params = script_params(cfg, make_mixed_scripts(1), horizon_ps=HORIZON,
+                           telemetry=TELE_SPEC)
+    stream = StreamRun.fresh("script", params)
+    kernel = KernelRun.fresh("script", params)
+    assert stream.finish() == kernel.finish()
+    telemetry = stream.telemetry.snapshot().to_dict()
+    assert telemetry["histograms"]
+    assert json.dumps(telemetry) \
+        == json.dumps(kernel.telemetry.snapshot().to_dict())
+
+
+@pytest.mark.parametrize("driver, label", [(StreamRun, "fast"),
+                                           (KernelRun, "reference")])
+def test_checkpoint_with_keep_samples_param_resumes(driver, label):
+    """Checkpoints written while ``MmsConfig`` still had ``keep_samples``
+    carry ``"keep_samples": false`` in their config params; they must
+    still resume to the unbroken run's result."""
+    base = driver.fresh("overload", _overload(label)).finish()
+    run = driver.fresh("overload", _overload(label))
+    run.run(run.horizon // 4)
+    doc = run.checkpoint().to_dict()
+    doc["params"]["config"]["keep_samples"] = False
+    resumed = resume_run(Checkpoint.from_json(json.dumps(doc)))
+    assert resumed.finish() == base
 
 
 def test_resume_run_dispatches_by_engine():

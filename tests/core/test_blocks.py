@@ -12,10 +12,11 @@ from repro.core import (
     ReassemblyBlock,
     SegmentationBlock,
 )
-from repro.core.latency import LatencyBreakdown
+from repro.core.workloads import assemble_load_result
 from repro.net import Packet
 from repro.queueing.packet_queues import SegmentInfo
 from repro.sim import Clock, Simulator
+from repro.telemetry.probe import REC_DATA, REC_E2E, REC_EXECUTION, REC_FIFO
 
 # ----------------------------------------------------------- scheduler
 
@@ -235,21 +236,27 @@ def test_reassembly_inverse_of_segmentation():
 
 # -------------------------------------------------------------- latency
 
+def _row(fifo, execution, data, end_to_end):
+    """The Table 5 row folded from synthetic completion records."""
+    records = []
+    for f, x, d, e in zip(fifo, execution, data, end_to_end):
+        rec = [0] * 13
+        rec[REC_FIFO], rec[REC_EXECUTION], rec[REC_DATA], rec[REC_E2E] = \
+            f, x, d, e
+        records.append(tuple(rec))
+    return assemble_load_result(records, warmup_volleys=0, offered_gbps=1.0,
+                                engine="fast")
+
 def test_latency_total_is_additive():
-    bd = LatencyBreakdown(Clock(125))
-    bd.record_parts(fifo_cycles=20, execution_cycles=10.5, data_cycles=28,
-                    end_to_end_cycles=40)
-    assert bd.row()["total"] == pytest.approx(58.5)
+    row = _row([20], [10.5], [28], [40])
+    assert row.total_cycles == pytest.approx(58.5)
     # the true end-to-end latency is kept apart from the additive total
-    assert bd.end_to_end.mean == pytest.approx(40)
+    assert row.end_to_end_cycles == pytest.approx(40)
 
 def test_breakdown_row_means():
-    bd = LatencyBreakdown(Clock(125))
-    bd.record_parts(10, 10, 30)
-    bd.record_parts(30, 11, 26)
-    row = bd.row()
-    assert row["fifo"] == pytest.approx(20)
-    assert row["execution"] == pytest.approx(10.5)
-    assert row["data"] == pytest.approx(28)
-    assert row["total"] == pytest.approx(58.5)
-    assert bd.count == 2
+    row = _row([10, 30], [10, 11], [30, 26], [0, 0])
+    assert row.fifo_cycles == pytest.approx(20)
+    assert row.execution_cycles == pytest.approx(10.5)
+    assert row.data_cycles == pytest.approx(28)
+    assert row.total_cycles == pytest.approx(58.5)
+    assert row.completed_ops == 2

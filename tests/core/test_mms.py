@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import MMS, Command, CommandType, MmsConfig, figure2_diagram
 from repro.core.mms import run_load, run_saturation
+from repro.core.workloads import fold_cycle_means
+from repro.telemetry.probe import REC_DATA, REC_FIFO
 
 SMALL = MmsConfig(num_flows=256, num_segments=2048, num_descriptors=1024,
                   strict_microcode=False)
@@ -48,9 +50,10 @@ def test_fifo_delay_measured_for_bursts():
 
     mms.sim.spawn(feeder())
     mms.sim.run()
-    assert mms.breakdown.count == 2
+    records = mms.dqm.records
+    assert fold_cycle_means(records)[0] == 2
     # the second command waited roughly one execution latency
-    assert mms.breakdown.fifo.maximum == pytest.approx(10, abs=2)
+    assert max(r[REC_FIFO] for r in records) == pytest.approx(10, abs=2)
 
 def test_data_delay_recorded_only_for_data_commands():
     mms = MMS(SMALL)
@@ -58,9 +61,11 @@ def test_data_delay_recorded_only_for_data_commands():
         Command(type=CommandType.ENQUEUE, flow=1, eop=True),
         Command(type=CommandType.DELETE, flow=1),
     ])
-    assert mms.breakdown.count == 2
-    assert mms.breakdown.data.minimum == 0.0   # delete: no data access
-    assert mms.breakdown.data.maximum > 10     # enqueue: real data write
+    records = mms.dqm.records
+    assert fold_cycle_means(records)[0] == 2
+    data = [r[REC_DATA] for r in records]
+    assert min(data) == 0.0   # delete: no data access
+    assert max(data) > 10     # enqueue: real data write
 
 def test_execution_is_serialized():
     """One command at a time: N enqueues finish no faster than N x 10."""

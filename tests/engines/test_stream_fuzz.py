@@ -38,24 +38,14 @@ import pytest
 
 from repro.core.commands import DATA_WRITE_COMMANDS, CommandType
 from repro.core.mms import MMS, MmsConfig
-from repro.core.workloads import drive_port, overload_drain_ops
+from repro.core.workloads import drive_port, overload_drain_ops, replay
 from repro.engines import StreamMms, stream_supports
 from repro.mem.timing import DdrTiming
 from repro.policies import PolicySpec
 from repro.sim.clock import NS, SEC
 from repro.sim.kernel import make_simulator
 from repro.telemetry import MmsTelemetry, Probe, ProbeChain, TelemetrySpec
-from repro.telemetry.probe import (
-    REC_DATA,
-    REC_DATA_DONE,
-    REC_DATA_SUBMIT,
-    REC_E2E,
-    REC_EXECUTION,
-    REC_FIFO,
-    REC_OP,
-    REC_SEQ,
-    REC_TIME,
-)
+from repro.telemetry.probe import REC_DATA_DONE, REC_DATA_SUBMIT, REC_OP, REC_SEQ
 
 HORIZON = SEC  # far beyond any script's span
 
@@ -113,12 +103,6 @@ class RecordLog(Probe):
         self.records.append(record)
 
 
-def _cycle_parts(records):
-    """The ``record_parts`` feed a completion-record stream implies."""
-    return [(r[REC_TIME], r[REC_FIFO], r[REC_EXECUTION], r[REC_DATA],
-             r[REC_E2E]) for r in records]
-
-
 def _capture_mem(cap, mem):
     cap.accesses_at_start = mem.total_accesses
     orig_end = mem.end_trace
@@ -159,18 +143,6 @@ def run_reference(config, scripts, drain_counters=None,
 
     mms.dqm._dispatch = dispatch
 
-    orig_rec = mms.breakdown.record_parts
-    parts = []
-
-    def record_parts(fifo_cycles, execution_cycles, data_cycles,
-                     end_to_end_cycles=0.0):
-        parts.append((sim.now, fifo_cycles, execution_cycles,
-                      data_cycles, end_to_end_cycles))
-        orig_rec(fifo_cycles, execution_cycles, data_cycles,
-                 end_to_end_cycles)
-
-    mms.breakdown.record_parts = record_parts
-
     for port, script in enumerate(scripts):
         sim.spawn(drive_port(mms, port, iter(script)), name=f"fz{port}")
     if drain_counters is not None:
@@ -178,8 +150,9 @@ def run_reference(config, scripts, drain_counters=None,
             mms.pqm.queued_packets, active_flows, drain_period,
             drain_counters)), name="drain")
     sim.run(until_ps=HORIZON)
-    # the breakdown and the probe see one completion per command
-    assert parts == _cycle_parts(log.records)
+    replay(mms.dqm.records, mms.probe)
+    # the probe sees every completion record, in delivery order
+    assert mms.dqm.records == log.records
     assert_traces_cover_accesses(cap, mms.pqm.mem)
     cap.records = log.records
     cap.telemetry = json.dumps(tel.snapshot().to_dict())

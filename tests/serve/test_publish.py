@@ -169,6 +169,23 @@ def test_frame_sequence_is_replay_deterministic(tmp_path):
     assert sequences[0]  # non-empty: frames were actually published
 
 
+def test_progress_frames_are_engine_identical(tmp_path):
+    """Both engines replay completion records after the run, so a
+    progress frame holds only the live dispatch fold -- which the
+    engines emit identically -- and the whole sequence matches."""
+    sequences = []
+    for engine in ("fast", "reference"):
+        path = str(tmp_path / f"frames-{engine}.jsonl")
+        publish.activate(FramePublisher(path, every=150))
+        try:
+            Runner().run("latency-lqd-burst", budget="fast", engine=engine)
+        finally:
+            publish.deactivate()
+        sequences.append(open(path, encoding="utf-8").read())
+    assert sequences[0] == sequences[1]
+    assert sequences[0]
+
+
 def test_publish_is_structurally_absent_from_plain_runs(tmp_path):
     """A plain CLI-style run must not import the serve daemon."""
     import subprocess

@@ -66,20 +66,6 @@ def test_latency_recorder_basic():
     assert lr.minimum == 10.0
     assert lr.maximum == 30.0
 
-def test_latency_recorder_percentile_requires_samples():
-    lr = LatencyRecorder("cmd", keep_samples=False)
-    lr.record(1.0)
-    with pytest.raises(RuntimeError):
-        lr.percentile(50)
-
-def test_latency_recorder_percentiles():
-    lr = LatencyRecorder("cmd", keep_samples=True)
-    for v in range(1, 101):
-        lr.record(float(v))
-    assert lr.percentile(0) == 1.0
-    assert lr.percentile(100) == 100.0
-    assert lr.percentile(50) == pytest.approx(50.5)
-
 def test_weighted_mean():
     assert weighted_mean([(10.0, 1.0), (20.0, 3.0)]) == pytest.approx(17.5)
     assert weighted_mean([]) == 0.0
