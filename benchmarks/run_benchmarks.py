@@ -23,11 +23,11 @@ Benchmarks
   heapq kernel, byte-identical drop/accept counters enforced.
 * ``bench_telemetry`` -- the telemetry subsystem's cost contract on
   full-budget Table 5 (stream engine): probes-off must stay within 2%
-  of the plain run (structural absence) and keep the 3x stream floor;
+  of the plain run (structural absence) and keep the 3.75x stream floor;
   the probes-on overhead is recorded for the trajectory.
 * ``bench_trace`` -- the same contract for the span tracer: trace-off
   must stay within 2% of the plain run (a probe-free DQM keeps its
-  plain dispatch; every DQM shares the one finalize) and keep the 3x
+  plain dispatch; every DQM shares the one finalize) and keep the 3.75x
   stream floor; the trace-on overhead and span count are recorded.
 * ``bench_monitor`` -- the same contract for the operational monitoring
   layer (``repro.monitor``): with monitoring disabled the full-budget
@@ -43,7 +43,7 @@ Every recorded number carries the engine it came from
 (``reference_engine`` / ``fast_engine``).  Exits non-zero if any engine
 pair disagrees on simulated results, the headline ``bench_table1``
 speedup drops below its 2x floor, or the ``bench_table5_stream``
-speedup drops below its 3x floor.
+speedup drops below its 3.75x floor.
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ TABLE1_SPEEDUP_FLOOR = 2.0
 
 #: Acceptance criterion of the command-stream engine: full-budget
 #: Table 5 must run at least this much faster than the heapq reference.
-TABLE5_STREAM_SPEEDUP_FLOOR = 3.0
+TABLE5_STREAM_SPEEDUP_FLOOR = 3.75
 
 #: Telemetry cost contract: with probes *disabled* the full-budget
 #: Table 5 stream run must stay within this fraction of the plain run
 #: (probes are structurally absent, so anything beyond timer noise is a
-#: regression) -- and the 3x stream floor above must still hold.
+#: regression) -- and the 3.75x stream floor above must still hold.
 TELEMETRY_OFF_OVERHEAD_CEILING = 0.02
 
 #: Same contract for the span tracer: observer call sites are
@@ -136,7 +136,7 @@ def bench_table5_stream(quick: bool, repeats: int) -> dict:
     """Full-budget Table 5: command-stream machine vs heapq kernel.
 
     The acceptance criterion of ``repro.engines`` lives here: results
-    must be identical and the machine at least 3x faster *at the full
+    must be identical and the machine at least 3.75x faster *at the full
     budget* -- so the budget is never shrunk; ``--quick`` only lowers
     the repeat count (the pair costs a few seconds).
     """
@@ -271,7 +271,7 @@ def bench_telemetry(quick: bool, repeats: int, table5: dict) -> dict:
     Two checks and two recordings.  Checks: probes-off is *structural
     absence* (:func:`_assert_probes_structurally_absent` -- the check a
     timing cannot make, since the disabled path is byte-identical code
-    to the pre-telemetry baseline), and the 3x stream floor still holds
+    to the pre-telemetry baseline), and the 3.75x stream floor still holds
     with probes disabled.  Recordings: the telemetry-off overhead
     against a plain run (interleaved A/B best-of so machine drift
     cancels; gated at 2%, which bounds residual noise plus any
@@ -363,7 +363,7 @@ def bench_trace(quick: bool, repeats: int, table5: dict) -> dict:
     check above, an interleaved plain vs trace-off A/B (gated at 2%),
     the trace-on overhead recorded for the trajectory (not gated --
     tracing implies probing, which disables the inlined opcode
-    branches), results unperturbed, and the 3x stream floor intact
+    branches), results unperturbed, and the 3.75x stream floor intact
     with tracing disabled.
     """
     _assert_stage_hooks_structurally_absent()

@@ -641,9 +641,8 @@ def _cmd_checkpoint_run(args: argparse.Namespace) -> int:
 
     counters = result.counters() if hasattr(result, "counters") \
         else dict(result)
-    kind = "stream" if type(run).__name__ == "StreamRun" else "kernel"
     if not args.quiet:
-        print(f"{stem}: finished at {run.now} ps ({kind} engine, "
+        print(f"{stem}: finished at {run.now} ps ({run.engine} engine, "
               f"{len(saved)} checkpoint(s))")
         for key, value in counters.items():
             print(f"  {key:<20} {value}")
@@ -651,7 +650,7 @@ def _cmd_checkpoint_run(args: argparse.Namespace) -> int:
         _write_document(args.json_path, {
             "schema": DOCUMENT_SCHEMA,
             "scenario": stem,
-            "engine": kind,
+            "engine": run.engine,
             "result": counters,
             "checkpoints": saved,
         })

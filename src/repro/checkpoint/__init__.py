@@ -11,10 +11,13 @@ contract:
   kernel with **replay-anchored** snapshots -- rebuild, deterministic
   replay to the anchor, then fingerprint + event-schedule verification.
 
-Either way, a run split at any rest point and resumed from the JSON
-:class:`Checkpoint` envelope produces byte-identical traces, drop
-records, telemetry and results (fuzzed over random split points by
-``tests/checkpoint/``).  The checkpoint machinery is structurally
+Both drivers run the same workloads (:data:`CHECKPOINT_WORKLOADS`: the
+``overload`` family and free-form ``script`` runs), built from their
+one definition in :mod:`repro.core.workloads` -- the plans the plain
+harnesses run.  Either way, a run split at any rest point and resumed
+from the JSON :class:`Checkpoint` envelope produces byte-identical
+traces, drop records, telemetry and results (fuzzed over random split
+points by ``tests/checkpoint/``).  The checkpoint machinery is structurally
 absent from plain harness runs: only these drivers wrap feeders, the
 same gating discipline as telemetry probes.
 
@@ -39,7 +42,6 @@ from repro.checkpoint.feeders import (
     TapeMismatchError,
 )
 from repro.checkpoint.kernel_runs import (
-    KERNEL_WORKLOADS,
     KernelRun,
     functional_digest,
     resume_run,
@@ -51,12 +53,11 @@ from repro.checkpoint.pool import (
     run_tasks,
 )
 from repro.checkpoint.runs import (
-    STREAM_WORKLOADS,
+    CHECKPOINT_WORKLOADS,
     StreamRun,
-    load_params,
+    WorkloadRun,
     overload_params,
     run_with_checkpoints,
-    saturation_params,
     script_params,
 )
 from repro.checkpoint.snapshot import (
@@ -77,23 +78,22 @@ from repro.checkpoint.stream_state import restore_stream, snapshot_stream
 __all__ = [
     "CHECKPOINT_ENGINES",
     "CHECKPOINT_SCHEMA",
+    "CHECKPOINT_WORKLOADS",
     "Checkpoint",
     "CheckpointError",
     "CountedFeeder",
     "CounterView",
     "ERROR_KEY",
-    "KERNEL_WORKLOADS",
     "KernelRun",
     "PoolOutcome",
-    "STREAM_WORKLOADS",
     "StreamRun",
     "Tape",
     "TapeMismatchError",
     "TaskFailure",
+    "WorkloadRun",
     "config_from_dict",
     "config_to_dict",
     "functional_digest",
-    "load_params",
     "maybe_fault",
     "overload_params",
     "read_json",
@@ -101,7 +101,6 @@ __all__ = [
     "resume_run",
     "run_tasks",
     "run_with_checkpoints",
-    "saturation_params",
     "script_params",
     "snapshot_stream",
     "telemetry_spec_from_dict",

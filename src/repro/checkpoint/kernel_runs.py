@@ -22,47 +22,26 @@ replay and arrives at the anchor in the identical state, and the
 completion records (``dqm.records``, rebuilt by the same replay) reach
 them in :meth:`KernelRun.finish`, as on the stream engine.
 
-Only the ``overload`` and ``script`` workload families get kernel
-drivers: the Table 5 load/saturation workloads always route to the
-command-stream engine (``stream_supports`` accepts every published
-configuration), so :class:`~repro.checkpoint.runs.StreamRun` covers
-them with exact snapshots.
+The workload itself -- the ``overload`` family or a ``script`` run, the
+same two :class:`~repro.checkpoint.runs.StreamRun` covers -- comes from
+its one definition in :mod:`repro.core.workloads`, attached exactly as
+the plain harnesses attach it (:func:`~repro.core.workloads.attach`:
+raw generators, the kernel process names and attach order pinned by
+the plan), so a replay-anchored resume rebuilds the identical process
+schedule.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Any, Dict, Union
+from typing import Any, Dict
 
-if TYPE_CHECKING:
-    from repro.checkpoint.runs import StreamRun
-
-from repro.checkpoint.runs import (
-    _build_probes,
-    _decode_op,
-    _script_feeder,
-    script_result,
-)
-from repro.checkpoint.snapshot import (
-    Checkpoint,
-    CheckpointError,
-    config_from_dict,
-)
+from repro.checkpoint.runs import StreamRun, WorkloadRun
+from repro.checkpoint.snapshot import Checkpoint, CheckpointError
 from repro.core.mms import MMS
-from repro.core.workloads import (
-    drive_port,
-    overload_drain_ops,
-    overload_feed_ops,
-    overload_horizon_ps,
-    overload_pacing_ps,
-    replay,
-)
-from repro.policies.harness import assemble_overload_result
+from repro.core.workloads import attach
 from repro.sim.kernel import make_simulator
-
-#: Workload families a KernelRun can drive (see module docstring).
-KERNEL_WORKLOADS = ("overload", "script")
 
 
 def functional_digest(mms: MMS, store: Dict[str, int]) -> str:
@@ -95,54 +74,37 @@ def functional_digest(mms: MMS, store: Dict[str, int]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-class KernelRun:
+class KernelRun(WorkloadRun):
     """One checkpointable kernel run (replay-anchored; see module
-    docstring).  The interface mirrors
-    :class:`~repro.checkpoint.runs.StreamRun`: build with :meth:`fresh`
-    or :meth:`resume`, advance with :meth:`run`, snapshot with
-    :meth:`checkpoint` between runs, finish with :meth:`finish`.
+    docstring) with the :class:`~repro.checkpoint.runs.WorkloadRun`
+    interface; ``machine`` is the kernel-backed
+    :class:`~repro.core.mms.MMS`."""
 
-    ``mms`` and ``sim`` are exposed for test capture hooks.
-    """
+    engine = "kernel"
 
     def __init__(self, workload: str, params: Dict[str, Any]) -> None:
-        if workload not in KERNEL_WORKLOADS:
-            raise CheckpointError(
-                f"unknown kernel workload {workload!r} "
-                f"(choose from {KERNEL_WORKLOADS}; the load/saturation "
-                f"families checkpoint on the stream path)")
-        self.workload = workload
-        self.params = params
-        self.config = config_from_dict(params["config"])
-        self.telemetry, self.tracer, self.probe = _build_probes(params)
-        self.store: Dict[str, int] = {}
-        self._build()
+        super().__init__(workload, params)
+        attach(self.machine, self.plan, self.store)
 
-    # ------------------------------------------------------ constructors
+    def _machine(self) -> MMS:
+        return MMS(self.config, probe=self.probe, sim=make_simulator(
+            self.params.get("engine_label", "reference")))
 
     @classmethod
-    def fresh(cls, workload: str, params: Dict[str, Any]) -> "KernelRun":
-        """Start the workload from scratch."""
-        return cls(workload, params)
-
-    @classmethod
-    def resume(cls, ckpt: Checkpoint) -> "KernelRun":
+    def _resume(cls, ckpt: Checkpoint) -> "KernelRun":
         """Rebuild, replay to the anchor and verify it (refusing a
         checkpoint that does not re-anchor byte-identically)."""
-        if ckpt.engine != "kernel":
-            raise CheckpointError(
-                f"KernelRun cannot resume a {ckpt.engine!r} checkpoint")
         run = cls(ckpt.workload, dict(ckpt.params))
-        run.sim.run(until_ps=ckpt.at_ps)
+        sim = run.machine.sim
+        sim.run(until_ps=ckpt.at_ps)
         fp = ckpt.state["fingerprint"]
         problems = []
-        if run.sim.now != fp["now"]:
-            problems.append(f"clock {run.sim.now} != {fp['now']}")
-        digest = functional_digest(run.mms, run.store)
+        if sim.now != fp["now"]:
+            problems.append(f"clock {sim.now} != {fp['now']}")
+        digest = functional_digest(run.machine, run.store)
         if digest != fp["digest"]:
             problems.append("functional state digest mismatch")
-        schedule = run.sim.schedule_state()
-        if schedule != ckpt.state["schedule"]:
+        if sim.schedule_state() != ckpt.state["schedule"]:
             problems.append("event schedule mismatch")
         if problems:
             raise CheckpointError(
@@ -150,110 +112,21 @@ class KernelRun:
                 + "; ".join(problems) + ")")
         return run
 
-    # ---------------------------------------------------------- plumbing
-
-    def _build(self) -> None:
-        p = self.params
-        label = p.get("engine_label", "reference")
-        self.mms = MMS(self.config, sim=make_simulator(label),
-                       probe=self.probe)
-        self.sim = self.mms.sim
-        mms, sim = self.mms, self.sim
-
-        if self.workload == "overload":
-            drain_period, enq_period = overload_pacing_ps(mms.clock)
-            per_port = p["num_arrivals"] // 3
-            self.store["dequeued"] = 0
-            for port in range(3):
-                sim.spawn(drive_port(mms, port,
-                                     overload_feed_ops(
-                                         p["shape"], port, per_port,
-                                         p["active_flows"], enq_period,
-                                         self.store)),
-                          name=f"enq{port}")
-            sim.spawn(drive_port(mms, 3,
-                                 overload_drain_ops(
-                                     mms.pqm.queued_packets,
-                                     p["active_flows"], drain_period,
-                                     self.store)),
-                      name="drain")
-        else:  # script
-            if p["drain"]:
-                self.store["dequeued"] = 0
-            for port, encoded in enumerate(p["scripts"]):
-                ops = [_decode_op(op) for op in encoded]
-                sim.spawn(drive_port(mms, port,
-                                     _script_feeder(ops, self.store,
-                                                    p["mark_done"])),
-                          name=f"port{port}")
-            if p["drain"]:
-                sim.spawn(drive_port(mms, len(p["scripts"]),
-                                     overload_drain_ops(
-                                         mms.pqm.queued_packets,
-                                         p["drain_active_flows"],
-                                         p["drain_period_ps"],
-                                         self.store)),
-                          name="drain")
-
-    # ----------------------------------------------------------- running
-
-    @property
-    def now(self) -> int:
-        return self.sim.now
-
-    @property
-    def horizon(self) -> int:
-        """The workload's run horizon (the harness formula)."""
-        p = self.params
-        if self.workload == "overload":
-            drain_period, enq_period = overload_pacing_ps(self.mms.clock)
-            return overload_horizon_ps(p["num_arrivals"], enq_period,
-                                       self.config.num_segments, drain_period)
-        return p["horizon_ps"]
-
-    def run(self, until_ps: int) -> None:
-        """Advance the kernel to ``until_ps`` (a rest point: safe to
-        checkpoint after)."""
-        self.sim.run(until_ps=until_ps)
-
-    def checkpoint(self) -> Checkpoint:
-        """Snapshot the run's replay anchor at the current rest
-        point."""
-        schedule = self.sim.schedule_state()
-        return Checkpoint(
-            engine="kernel",
-            workload=self.workload,
-            at_ps=self.sim.now,
-            params=self.params,
-            state={
-                "fingerprint": {
-                    "now": self.sim.now,
-                    "pending_events": len(schedule["entries"]),
-                    "digest": functional_digest(self.mms, self.store),
-                },
-                "schedule": schedule,
+    def _state(self) -> Dict[str, Any]:
+        """The replay anchor at the current rest point."""
+        schedule = self.machine.sim.schedule_state()
+        return {
+            "fingerprint": {
+                "now": self.now,
+                "pending_events": len(schedule["entries"]),
+                "digest": functional_digest(self.machine, self.store),
             },
-        )
-
-    def finish(self) -> Any:
-        """Run to the horizon, replay the completion records to the
-        probe and assemble the workload's result with the exact harness
-        arithmetic."""
-        p = self.params
-        self.sim.run(until_ps=self.horizon)
-        mms = self.mms
-        replay(mms.dqm.records, self.probe)
-        if self.workload == "overload":
-            return assemble_overload_result(
-                mms.policy, self.config, p["shape"], self.store["dequeued"],
-                self.sim.now, p.get("engine_label", "reference"))
-        return script_result(mms.commands_executed, self.sim.now,
-                             self.store)
+            "schedule": schedule,
+        }
 
 
-def resume_run(ckpt: Checkpoint) -> Union["StreamRun", "KernelRun"]:
+def resume_run(ckpt: Checkpoint) -> WorkloadRun:
     """Dispatch a checkpoint to its execution path's driver."""
-    if ckpt.engine == "stream":
-        from repro.checkpoint.runs import StreamRun
+    if ckpt.engine == StreamRun.engine:
         return StreamRun.resume(ckpt)
     return KernelRun.resume(ckpt)

@@ -1,13 +1,20 @@
-"""Checkpoint-aware drivers for the command-stream engine.
+"""Checkpoint-aware drivers of the MMS workloads.
 
-A :class:`StreamRun` owns one :class:`~repro.engines.stream.StreamMms`
-workload end to end -- build, incremental execution, snapshot, resume,
-result assembly -- for the four workload families the plain harnesses
-run (``load``, ``saturation``, ``overload``) plus free-form ``script``
-runs (the fuzz suite's mixed-op streams).  It is the *only* place the
-checkpoint machinery touches the feeder path: it wraps every workload
-generator in a :class:`~repro.checkpoint.feeders.CountedFeeder` with an
-observation :class:`~repro.checkpoint.feeders.Tape`, while the plain
+Two drivers run the ``overload`` family and free-form ``script`` runs
+(the fuzz suite's mixed-op streams) with checkpoints:
+:class:`StreamRun` on the command-stream engine, with exact snapshots,
+and :class:`~repro.checkpoint.kernel_runs.KernelRun` on the kernel,
+with replay-anchored ones.  Both build the workload from its one
+definition (:func:`repro.core.workloads.overload_plan` and
+:func:`~repro.core.workloads.script_plan`) -- feeders, attach order,
+horizon, argument checks and result assembly -- exactly as the plain
+harnesses do, and keep only what is really their own (the shared part
+is :class:`WorkloadRun`).
+
+:class:`StreamRun` is the *only* place the checkpoint machinery touches
+the feeder path: it builds every feeder through a
+:class:`~repro.checkpoint.feeders.Tape` and wraps it in a
+:class:`~repro.checkpoint.feeders.CountedFeeder`, while the plain
 harnesses keep handing raw generators to the engine -- so checkpoint
 support is structurally absent from normal runs, the same gating
 discipline as telemetry probes.
@@ -15,25 +22,26 @@ discipline as telemetry probes.
 The resume-identity contract: a run split at any rest point and resumed
 from the JSON checkpoint produces byte-identical traces, DropRecords,
 telemetry and results to an unbroken run (``tests/checkpoint/``
-fuzzes this over random split points).  Three ingredients deliver it:
+fuzzes this over random split points).  Three ingredients deliver it
+on the stream engine:
 
 * the machine state restores exactly (:mod:`.stream_state`),
 * the feeders re-reach their suspension points by tape replay
   (:mod:`.feeders`),
-* the results are assembled by the *same* functions the harnesses use
-  (:mod:`repro.core.workloads`), so there is no second copy of the
-  warm-up windowing or counter arithmetic to drift.
+* the workload and its result come from the one definition the
+  harnesses use, so there is no second copy to drift.
 
-Params are plain JSON dicts (built by the ``*_params`` helpers) and
-ride inside the :class:`~repro.checkpoint.snapshot.Checkpoint`
-envelope, which is what makes a checkpoint file self-contained: resume
-needs nothing but the file.
+Params are plain JSON dicts (built by :func:`overload_params` and
+:func:`script_params`) and ride inside the
+:class:`~repro.checkpoint.snapshot.Checkpoint` envelope, which is what
+makes a checkpoint file self-contained: resume needs nothing but the
+file.
 """
 
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from repro.checkpoint.feeders import CountedFeeder, CounterView, Tape
@@ -51,70 +59,21 @@ from repro.checkpoint.stream_state import restore_stream, snapshot_stream
 from repro.core.commands import CommandType
 from repro.core.mms import MmsConfig
 from repro.core.workloads import (
-    FOUR_PORTS,
-    SATURATION_HORIZON_PS,
-    assemble_load_result,
-    assemble_saturation_result,
-    load_feed_ops,
-    load_horizon_ps,
-    load_prefill_packets,
-    load_volley_period_ps,
-    overload_drain_ops,
-    overload_feed_ops,
-    overload_horizon_ps,
-    overload_pacing_ps,
-    replay,
-    saturation_feed_ops,
-    saturation_prefill_packets,
+    FeederFactory,
+    Plan,
+    overload_plan,
+    script_plan,
 )
 from repro.engines.stream import StreamMms
-from repro.policies.harness import assemble_overload_result
 from repro.telemetry.collector import MmsTelemetry
 from repro.telemetry.probe import Probe, ProbeChain, TelemetrySpec
 from repro.trace.spans import TraceCollector, TraceSpec
 
-#: Workload families a StreamRun can drive.
-STREAM_WORKLOADS = ("load", "saturation", "overload", "script")
+#: Workload families the checkpoint drivers run.
+CHECKPOINT_WORKLOADS = ("overload", "script")
 
 
 # ==================================================== params builders
-
-def load_params(config: MmsConfig, *, offered_gbps: float,
-                num_volleys: int, active_flows: int, warmup_volleys: int,
-                burst_len: int, burst_prob: float, seed: int,
-                telemetry: Optional[TelemetrySpec] = None,
-                trace: Optional[TraceSpec] = None) -> Dict[str, Any]:
-    """Params dict for a Table 5 load run (one offered load)."""
-    return {
-        "config": config_to_dict(config),
-        "telemetry": None if telemetry is None
-        else telemetry_spec_to_dict(telemetry),
-        "trace": None if trace is None else trace_spec_to_dict(trace),
-        "offered_gbps": offered_gbps,
-        "num_volleys": num_volleys,
-        "active_flows": active_flows,
-        "warmup_volleys": warmup_volleys,
-        "burst_len": burst_len,
-        "burst_prob": burst_prob,
-        "seed": seed,
-    }
-
-
-def saturation_params(config: MmsConfig, *, num_commands: int,
-                      active_flows: int,
-                      telemetry: Optional[TelemetrySpec] = None,
-                      trace: Optional[TraceSpec] = None
-                      ) -> Dict[str, Any]:
-    """Params dict for a headline-saturation run."""
-    return {
-        "config": config_to_dict(config),
-        "telemetry": None if telemetry is None
-        else telemetry_spec_to_dict(telemetry),
-        "trace": None if trace is None else trace_spec_to_dict(trace),
-        "num_commands": num_commands,
-        "active_flows": active_flows,
-    }
-
 
 def overload_params(config: MmsConfig, shape: str, *, num_arrivals: int,
                     active_flows: int,
@@ -169,16 +128,6 @@ def script_params(config: MmsConfig, scripts: Sequence[Sequence[Any]], *,
     }
 
 
-def script_result(commands_executed: int, elapsed_ps: int,
-                  counters: Dict[str, int]) -> Dict[str, Any]:
-    """The result of a finished ``script`` run, on either engine."""
-    return {
-        "commands_executed": commands_executed,
-        "elapsed_ps": elapsed_ps,
-        "counters": dict(counters),
-    }
-
-
 def _encode_op(op: Any) -> Any:
     if type(op) is int:
         return op
@@ -190,17 +139,6 @@ def _decode_op(op: Any) -> Any:
     if type(op) is int:
         return op
     return (CommandType(op[0]), op[1], op[2], op[3], op[4])
-
-
-def _script_feeder(ops: Sequence[Any],
-                   counters: Union[Dict[str, int], CounterView],
-                   mark_done: bool) -> Iterator[Any]:
-    """A decoded script as a feeder generator, with the overload
-    feeders' trailing done-handshake when requested."""
-    for op in ops:
-        yield op
-    if mark_done:
-        counters["feeders_done"] = counters.get("feeders_done", 0) + 1
 
 
 def _build_probes(params: Dict[str, Any]) -> Tuple[
@@ -227,72 +165,136 @@ def _build_probes(params: Dict[str, Any]) -> Tuple[
     return telemetry, tracer, probe
 
 
-# ======================================================== the driver
+def _plan(workload: str, params: Dict[str, Any], machine: Any) -> Plan:
+    """The workload's plan on ``machine``, from its params dict."""
+    if workload == "overload":
+        return overload_plan(machine, params["shape"],
+                             params["num_arrivals"], params["active_flows"],
+                             params["engine_label"])
+    return script_plan(machine,
+                       [[_decode_op(op) for op in ops]
+                        for ops in params["scripts"]],
+                       params["horizon_ps"], params["mark_done"],
+                       params["drain"], params["drain_period_ps"],
+                       params["drain_active_flows"])
 
-class StreamRun:
-    """One checkpointable command-stream run (see module docstring).
+
+# ======================================================= the drivers
+
+class WorkloadRun:
+    """What both checkpoint drivers share: the params, the probes, the
+    machine, the workload plan and its counter store.
 
     Build with :meth:`fresh` or :meth:`resume`, advance with
     :meth:`run`, snapshot with :meth:`checkpoint` at any rest point
     (between :meth:`run` calls), and finish with :meth:`finish` --
     which runs to the workload's horizon and assembles the exact
-    harness result object.
+    harness result object.  Subclasses name their checkpoint ``engine``
+    and supply the machine, the feeders and the snapshot state.
     """
 
-    def __init__(self, workload: str, params: Dict[str, Any], *,
-                 _resume_state: Optional[Dict[str, Any]] = None) -> None:
-        if workload not in STREAM_WORKLOADS:
-            raise CheckpointError(f"unknown stream workload {workload!r} "
-                                  f"(choose from {STREAM_WORKLOADS})")
+    #: The checkpoint envelope's engine (``"stream"`` or ``"kernel"``).
+    engine = ""
+
+    def __init__(self, workload: str, params: Dict[str, Any]) -> None:
+        if workload not in CHECKPOINT_WORKLOADS:
+            raise CheckpointError(
+                f"unknown {self.engine} workload {workload!r} "
+                f"(choose from {CHECKPOINT_WORKLOADS})")
         self.workload = workload
         self.params = params
         self.config = config_from_dict(params["config"])
         self.telemetry, self.tracer, self.probe = _build_probes(params)
-        self.eng = StreamMms(self.config, probe=self.probe)
-        self.store: Dict[str, int] = {}
+        self.machine = self._machine()
+        self.plan = _plan(workload, params, self.machine)
+        self.store: Dict[str, int] = dict(self.plan.counters)
 
-        if _resume_state is None:
-            self._build_fresh()
-        else:
-            self._restore(_resume_state)
+    def _machine(self) -> Any:
+        raise NotImplementedError
+
+    def _state(self) -> Dict[str, Any]:
+        raise NotImplementedError
 
     # ------------------------------------------------------ constructors
 
     @classmethod
-    def fresh(cls, workload: str, params: Dict[str, Any]) -> "StreamRun":
-        """Start the workload from scratch (prefill + feeders)."""
+    def fresh(cls, workload: str, params: Dict[str, Any]) -> "WorkloadRun":
+        """Start the workload from scratch."""
         return cls(workload, params)
 
     @classmethod
-    def resume(cls, ckpt: Checkpoint) -> "StreamRun":
-        """Continue the workload from a checkpoint."""
-        if ckpt.engine != "stream":
-            raise CheckpointError(
-                f"StreamRun cannot resume a {ckpt.engine!r} checkpoint")
+    def resume(cls, ckpt: Checkpoint) -> "WorkloadRun":
+        """Continue the workload from a checkpoint of this driver's
+        engine."""
+        if ckpt.engine != cls.engine:
+            raise CheckpointError(f"{cls.__name__} cannot resume a "
+                                  f"{ckpt.engine!r} checkpoint")
+        return cls._resume(ckpt)
+
+    @classmethod
+    def _resume(cls, ckpt: Checkpoint) -> "WorkloadRun":
+        raise NotImplementedError
+
+    # ----------------------------------------------------------- running
+
+    @property
+    def now(self) -> int:
+        return self.machine.now
+
+    @property
+    def horizon(self) -> int:
+        """The workload's run horizon."""
+        return self.plan.horizon_ps
+
+    def run(self, until_ps: int) -> None:
+        """Advance the machine to ``until_ps`` (a rest point: safe to
+        checkpoint after)."""
+        self.machine.run(until_ps)
+
+    def checkpoint(self) -> Checkpoint:
+        """Snapshot the run at the current rest point."""
+        return Checkpoint(engine=self.engine, workload=self.workload,
+                          at_ps=self.now, params=self.params,
+                          state=self._state())
+
+    def finish(self) -> Any:
+        """Run to the horizon, replay the completion records to the
+        probe and assemble the workload's result."""
+        self.machine.run(self.horizon)
+        return self.plan.result(self.store)
+
+
+class StreamRun(WorkloadRun):
+    """One checkpointable command-stream run, snapshotted exactly (see
+    module docstring)."""
+
+    engine = "stream"
+
+    def __init__(self, workload: str, params: Dict[str, Any], *,
+                 _resume_state: Optional[Dict[str, Any]] = None) -> None:
+        super().__init__(workload, params)
+        if _resume_state is not None:
+            self._restore(_resume_state)
+            return
+        for port, _name, factory in self.plan.feeders:
+            tape = Tape()
+            self.machine.add_feeder(
+                port, CountedFeeder(self._taped(factory)(tape), tape))
+
+    def _machine(self) -> StreamMms:
+        return StreamMms(self.config, probe=self.probe)
+
+    @classmethod
+    def _resume(cls, ckpt: Checkpoint) -> "StreamRun":
         return cls(ckpt.workload, dict(ckpt.params),
                    _resume_state=ckpt.state)
 
-    # ---------------------------------------------------------- plumbing
-
-    def _build_fresh(self) -> None:
-        p = self.params
-        if self.workload == "load":
-            self.eng.prefill(
-                range(p["active_flows"]),
-                packets_per_flow=load_prefill_packets(p["active_flows"]))
-        elif self.workload == "saturation":
-            per_port = p["num_commands"] // 4
-            self.eng.prefill(
-                range(p["active_flows"]),
-                packets_per_flow=saturation_prefill_packets(
-                    per_port, p["active_flows"]))
-        elif self.workload == "overload":
-            self.store["dequeued"] = 0
-        elif self.workload == "script" and p["drain"]:
-            self.store["dequeued"] = 0
-        for port, factory in self._feeders():
-            tape = Tape()
-            self.eng.add_feeder(port, CountedFeeder(factory(tape), tape))
+    def _taped(self, factory: FeederFactory
+               ) -> Callable[[Tape], Iterator[Any]]:
+        """The feeder factory with every environment read wired through
+        the feeder's tape, so a rebuilt feeder replays to its recorded
+        suspension point."""
+        return lambda tape: factory(tape.wrap, CounterView(self.store, tape))
 
     def _restore(self, state: Dict[str, Any]) -> None:
         self.store.update(state.get("counters") or {})
@@ -308,151 +310,22 @@ class StreamRun:
                 "checkpoint and params disagree about tracing")
         if self.tracer is not None:
             self.tracer.load_state(trace_state)
-        factories = [factory for _port, factory in self._feeders()]
-        restore_stream(self.eng, state["machine"], factories)
+        restore_stream(self.machine, state["machine"],
+                       [self._taped(factory)
+                        for _port, _name, factory in self.plan.feeders])
 
-    def _feeders(self) -> List[Tuple[int, Callable[[Tape], Iterator[Any]]]]:
-        """The workload's ``(port, factory)`` list, in the exact attach
-        order of the plain harnesses.  Factories take the feeder's tape
-        and wire every environment read through it, so a rebuilt feeder
-        replays to its recorded suspension point."""
-        p = self.params
-        eng = self.eng
-        out: List[Tuple[int, Callable[[Tape], Iterator[Any]]]] = []
-
-        if self.workload == "load":
-            period = load_volley_period_ps(p["offered_gbps"])
-
-            def now() -> int:
-                return eng.now
-
-            for port, (enqueue, phase) in enumerate(FOUR_PORTS):
-                def factory(tape: Tape, port: int = port,
-                            enqueue: bool = enqueue,
-                            phase: int = phase) -> Iterator[Any]:
-                    return load_feed_ops(
-                        tape.wrap(now), port, enqueue, phase,
-                        p["num_volleys"], period, p["active_flows"],
-                        p["burst_len"], p["burst_prob"], p["seed"])
-                out.append((port, factory))
-
-        elif self.workload == "saturation":
-            per_port = p["num_commands"] // 4
-            for port, (enqueue, phase) in enumerate(FOUR_PORTS):
-                def factory(tape: Tape, enqueue: bool = enqueue,
-                            phase: int = phase) -> Iterator[Any]:
-                    # pure feeder: the tape stays empty, which is itself
-                    # verified by end_replay on resume
-                    return saturation_feed_ops(enqueue, phase, per_port,
-                                               p["active_flows"])
-                out.append((port, factory))
-
-        elif self.workload == "overload":
-            drain_period, enq_period = overload_pacing_ps(eng.clock)
-            per_port = p["num_arrivals"] // 3
-            for port in range(3):
-                def factory(tape: Tape, port: int = port) -> Iterator[Any]:
-                    return overload_feed_ops(
-                        p["shape"], port, per_port, p["active_flows"],
-                        enq_period, CounterView(self.store, tape))
-                out.append((port, factory))
-
-            def drain_factory(tape: Tape) -> Iterator[Any]:
-                return overload_drain_ops(
-                    tape.wrap(eng.pqm.queued_packets),
-                    p["active_flows"], drain_period,
-                    CounterView(self.store, tape))
-            out.append((3, drain_factory))
-
-        else:  # script
-            for port, encoded in enumerate(p["scripts"]):
-                ops = [_decode_op(op) for op in encoded]
-                def factory(tape: Tape,
-                            ops: List[Any] = ops) -> Iterator[Any]:
-                    return _script_feeder(ops,
-                                          CounterView(self.store, tape),
-                                          p["mark_done"])
-                out.append((port, factory))
-            if p["drain"]:
-                def drain_factory(tape: Tape) -> Iterator[Any]:
-                    return overload_drain_ops(
-                        tape.wrap(eng.pqm.queued_packets),
-                        p["drain_active_flows"], p["drain_period_ps"],
-                        CounterView(self.store, tape))
-                out.append((len(p["scripts"]), drain_factory))
-
-        return out
-
-    # ----------------------------------------------------------- running
-
-    @property
-    def now(self) -> int:
-        return self.eng.now
-
-    @property
-    def horizon(self) -> int:
-        """The workload's run horizon (the same formula the plain
-        harness uses)."""
-        p = self.params
-        if self.workload == "load":
-            return load_horizon_ps(p["num_volleys"],
-                                   load_volley_period_ps(p["offered_gbps"]))
-        if self.workload == "saturation":
-            return SATURATION_HORIZON_PS
-        if self.workload == "overload":
-            drain_period, enq_period = overload_pacing_ps(self.eng.clock)
-            return overload_horizon_ps(p["num_arrivals"], enq_period,
-                                       self.config.num_segments, drain_period)
-        return p["horizon_ps"]
-
-    def run(self, until_ps: int) -> None:
-        """Advance the machine to ``until_ps`` (a rest point: safe to
-        checkpoint after)."""
-        self.eng.run(until_ps)
-
-    def checkpoint(self) -> Checkpoint:
-        """Snapshot the run at the current rest point."""
-        return Checkpoint(
-            engine="stream",
-            workload=self.workload,
-            at_ps=self.eng.now,
-            params=self.params,
-            state={
-                "machine": snapshot_stream(self.eng),
-                "counters": dict(self.store) if self.store else None,
-                "probe": None if self.telemetry is None
-                else self.telemetry.state_dict(),
-                "trace": None if self.tracer is None
-                else self.tracer.state_dict(),
-            },
-        )
-
-    def finish(self) -> Any:
-        """Run to the horizon, replay the completion records to the
-        probe and assemble the workload's result with the exact harness
-        arithmetic."""
-        p = self.params
-        horizon = self.horizon
-        eng = self.eng
-        eng.run(horizon)
-        if self.workload == "load":
-            return assemble_load_result(
-                replay(eng.completion_records(horizon), self.probe),
-                p["warmup_volleys"], p["offered_gbps"], "fast")
-        if self.workload == "saturation":
-            return assemble_saturation_result(
-                replay(eng.completion_records(horizon), self.probe),
-                eng.commands_executed, eng.clock.period_ps, "fast")
-        if self.probe is not None:
-            replay(eng.completion_records(horizon), self.probe)
-        if self.workload == "overload":
-            return assemble_overload_result(
-                eng.policy, self.config, p["shape"], self.store["dequeued"],
-                eng.now, p.get("engine_label", "fast"))
-        return script_result(eng.commands_executed, eng.now, self.store)
+    def _state(self) -> Dict[str, Any]:
+        return {
+            "machine": snapshot_stream(self.machine),
+            "counters": dict(self.store) if self.store else None,
+            "probe": None if self.telemetry is None
+            else self.telemetry.state_dict(),
+            "trace": None if self.tracer is None
+            else self.tracer.state_dict(),
+        }
 
 
-def run_with_checkpoints(run: StreamRun, every_ps: int,
+def run_with_checkpoints(run: WorkloadRun, every_ps: int,
                          sink: Callable[[Checkpoint], None],
                          until_ps: Optional[int] = None,
                          events: Optional[Any] = None) -> int:

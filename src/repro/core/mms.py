@@ -23,7 +23,6 @@ from repro.policies import BufferPolicy, PolicySpec, make_policy
 from repro.queueing import PacketQueueManager
 from repro.sim import Clock, Simulator
 from repro.sim.clock import SEC
-from repro.sim.kernel import make_simulator
 
 #: Bits moved per MMS operation (one 64-byte segment).
 BITS_PER_OP = 512
@@ -119,6 +118,38 @@ class MMS:
     def submit(self, port: int, cmd: Command):
         """Blocking command submit (generator; backpressure-aware)."""
         yield from self.scheduler.submit(port, cmd)
+
+    def add_feeder(self, port: int, ops: Iterator, name: str = "proc"
+                   ) -> None:
+        """Run a micro-op feeder (:mod:`repro.core.workloads`) on
+        ``port`` as a kernel process named ``name``: delays become
+        timeouts and submit tuples blocking :meth:`submit` calls.  The
+        :class:`~repro.engines.stream.StreamMms` surface, so one loop
+        drives either machine."""
+        self.sim.spawn(self._drive(port, ops), name=name)
+
+    def _drive(self, port: int, ops: Iterator):
+        for op in ops:
+            if type(op) is int:
+                yield op
+            else:
+                kind, flow, dst, eop, length = op
+                yield from self.scheduler.submit(
+                    port, Command(type=kind, flow=flow, dst_flow=dst,
+                                  eop=eop, length=length))
+
+    def run(self, until_ps: int) -> int:
+        """Run the kernel to ``until_ps``."""
+        return self.sim.run(until_ps=until_ps)
+
+    @property
+    def now(self) -> int:
+        return self.sim.now
+
+    def completion_records(self, horizon_ps: int) -> list:
+        """The run's completion records (``dqm.records``: the kernel
+        stops at the horizon, so all of them)."""
+        return self.dqm.records
 
     def try_submit(self, port: int, cmd: Command) -> bool:
         """Non-blocking command submit."""
@@ -256,37 +287,13 @@ def run_load(offered_gbps: float, num_volleys: int = 2500,
         raise ValueError(f"burst_prob must be in [0,1], got {burst_prob}")
     if burst_len < 1:
         raise ValueError(f"burst_len must be >= 1, got {burst_len}")
-    from repro.core.workloads import (FOUR_PORTS, assemble_load_result,
-                                      drive_port, load_feed_ops,
-                                      load_horizon_ps, load_prefill_packets,
-                                      load_volley_period_ps, replay)
-
-    if engine == "fast":
-        from repro.engines import stream_run_load, stream_supports
-        if stream_supports(config) is None:
-            return stream_run_load(
-                offered_gbps, num_volleys=num_volleys, config=config,
-                active_flows=active_flows, warmup_volleys=warmup_volleys,
-                burst_len=burst_len, burst_prob=burst_prob, seed=seed,
-                probe=probe)
-
-    mms = MMS(config, sim=make_simulator(engine), probe=probe)
-    sim = mms.sim
-    mms.prefill(range(active_flows),
-                packets_per_flow=load_prefill_packets(active_flows))
-    volley_period_ps = load_volley_period_ps(offered_gbps)
-
-    def feed(port: int, enqueue: bool, phase: int):
-        ops = load_feed_ops(lambda: sim.now, port, enqueue, phase,
-                            num_volleys, volley_period_ps, active_flows,
-                            burst_len, burst_prob, seed)
-        return drive_port(mms, port, ops)
-
-    for port, (enqueue, phase) in enumerate(FOUR_PORTS):
-        sim.spawn(feed(port, enqueue, phase), name=f"port{port}")
-    sim.run(until_ps=load_horizon_ps(num_volleys, volley_period_ps))
-    return assemble_load_result(replay(mms.dqm.records, probe),
-                                warmup_volleys, offered_gbps, engine)
+    from repro.core.workloads import load_plan, machine_for, run_plan
+    machine = machine_for(config, engine, probe)
+    return run_plan(machine, load_plan(
+        machine, offered_gbps, num_volleys=num_volleys,
+        active_flows=active_flows, warmup_volleys=warmup_volleys,
+        burst_len=burst_len, burst_prob=burst_prob, seed=seed,
+        engine=engine))
 
 
 def run_saturation(num_commands: int = 8000,
@@ -300,37 +307,10 @@ def run_saturation(num_commands: int = 8000,
     operating at 125MHz ... the overall bandwidth the MMS supports is
     6.145 Gbps" (our model: 1/10.5 cycles = 11.9 Mops ~ 6.1 Gbps).
     """
-    from repro.core.workloads import (FOUR_PORTS, SATURATION_HORIZON_PS,
-                                      assemble_saturation_result, drive_port,
-                                      replay, saturation_feed_ops,
-                                      saturation_prefill_packets)
-
-    if engine == "fast":
-        from repro.engines import stream_run_saturation, stream_supports
-        if stream_supports(config) is None:
-            return stream_run_saturation(num_commands=num_commands,
-                                         config=config,
-                                         active_flows=active_flows,
-                                         probe=probe)
-
-    mms = MMS(config, sim=make_simulator(engine), probe=probe)
-    sim = mms.sim
-    per_port = num_commands // 4
-    mms.prefill(range(active_flows),
-                packets_per_flow=saturation_prefill_packets(per_port,
-                                                            active_flows))
-
-    def feed(port: int, enqueue: bool, phase: int):
-        return drive_port(mms, port,
-                          saturation_feed_ops(enqueue, phase, per_port,
-                                              active_flows))
-
-    for port, (enqueue, phase) in enumerate(FOUR_PORTS):
-        sim.spawn(feed(port, enqueue, phase), name=f"port{port}")
-    sim.run(until_ps=SATURATION_HORIZON_PS)
-    return assemble_saturation_result(replay(mms.dqm.records, probe),
-                                      mms.commands_executed,
-                                      mms.clock.period_ps, engine)
+    from repro.core.workloads import machine_for, run_plan, saturation_plan
+    machine = machine_for(config, engine, probe)
+    return run_plan(machine, saturation_plan(
+        machine, num_commands, active_flows=active_flows, engine=engine))
 
 
 def figure2_diagram() -> str:

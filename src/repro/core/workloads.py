@@ -1,44 +1,47 @@
-"""Shared feeder definitions for the MMS load experiments.
+"""The MMS workloads, each defined once for every driver.
 
-The Table 5 load harness, the saturation headline and the overload
-family each drive the MMS through port feeders.  Those feeders used to
-be written against the DES kernel directly (``yield delay`` / ``yield
-from mms.submit``); with the batched command-stream engine
-(:mod:`repro.engines`) executing the same workloads kernel-free, the
-feeder *behavior* must have exactly one definition or the two paths
-would drift apart.
+The Table 5 load harness, the saturation headline, the overload family
+and free-form ``script`` runs each drive the MMS through port feeders.
+A workload family is one *plan* builder here (:func:`load_plan`,
+:func:`saturation_plan`, :func:`overload_plan`, :func:`script_plan`):
+given the machine it runs on -- the kernel-backed
+:class:`~repro.core.mms.MMS` or the batched
+:class:`~repro.engines.stream.StreamMms`, which share the
+``add_feeder``/``run``/``completion_records`` surface -- it checks the
+workload's arguments, prefills the machine and returns a :class:`Plan`:
+the ``(port, kernel process name, feeder factory)`` list in attach
+order, the horizon and the result assembly.  Every driver runs that
+plan: the plain harnesses through :func:`run_plan` on the machine
+:func:`machine_for` picks, and the checkpoint-aware drivers
+(:mod:`repro.checkpoint`) with their own feeder wrapping.  Results are
+therefore equal across drivers by construction.
 
-A feeder here is a plain generator of **micro-ops**:
+A feeder is a plain generator of **micro-ops**:
 
 * a positive ``int`` -- sleep that many picoseconds,
 * a tuple ``(CommandType, flow, dst_flow, eop, length)`` -- submit that
   command to the feeder's port (blocking on port backpressure).
 
-:func:`drive_port` adapts a micro-op generator onto the DES kernel (it
-yields exactly what the historical inline feeders yielded, so the
-reference event sequence is unchanged); the stream engine consumes the
-same generators natively.  Time-dependent pacing reads the current
-simulated time through ``now_fn``, which each execution path binds to
-its own clock.
-
-The pacing, prefill and horizon formulas, and the folds that turn a
-run's completion records (:data:`~repro.telemetry.probe.CompletionRecord`)
-into its result, live here too: every driver of a workload -- the
-kernel harnesses, the stream harnesses (:mod:`repro.engines.harnesses`)
-and the checkpoint-aware runs (:mod:`repro.checkpoint`) -- calls the
-same functions, so their results are equal by construction.
+A feeder *factory* takes ``(wrap, counters)``: ``wrap`` wraps every
+environment read the feeder makes (the current time, queue depths),
+and ``counters`` is the run's shared counter store.  Plain runs pass
+the identity and a dict, so the engines get raw generators; a
+checkpointed stream run passes each feeder's observation tape and a
+taped counter view (:mod:`repro.checkpoint.feeders`).
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from repro.core.commands import Command, CommandType
-from repro.core.mms import BITS_PER_OP, MmsLoadResult
+from repro.core.commands import CommandType
+from repro.core.mms import MMS, BITS_PER_OP, MmsConfig, MmsLoadResult
 from repro.sim.clock import Clock, SEC
+from repro.sim.kernel import make_simulator
 from repro.telemetry.probe import (
     REC_DATA,
     REC_E2E,
@@ -62,27 +65,14 @@ SATURATION_HORIZON_PS = 60 * SEC
 #: Table 5 and saturation harnesses feed.
 FOUR_PORTS = ((True, 0), (False, 0), (True, 1), (False, 1))
 
+#: Traffic shapes of the overload scenario family (see
+#: :mod:`repro.policies.harness`).
+SHAPES = ("burst", "sustained", "incast")
 
-def to_command(op: Tuple[CommandType, int, Optional[int], bool, int]
-               ) -> Command:
-    """Materialize a submit micro-op as a kernel :class:`Command`."""
-    kind, flow, dst, eop, length = op
-    return Command(type=kind, flow=flow, dst_flow=dst, eop=eop,
-                   length=length)
-
-
-def drive_port(mms, port: int, ops: Iterator[FeederOp]):
-    """Kernel adapter: run a micro-op generator as a port process.
-
-    Yields exactly the delays and ``submit`` handshakes the inline
-    feeders used to, so swapping them for shared micro-op generators
-    leaves the reference kernel's event sequence untouched.
-    """
-    for op in ops:
-        if type(op) is int:
-            yield op
-        else:
-            yield from mms.submit(port, to_command(op))
+#: A feeder factory (see module docstring): ``(wrap, counters)`` to a
+#: micro-op generator.
+FeederFactory = Callable[[Callable[[Callable[..., Any]], Callable[..., Any]],
+                          Any], Iterator[FeederOp]]
 
 
 # ==================================================== Table 5 load feed
@@ -331,3 +321,258 @@ def assemble_saturation_result(records: Sequence[CompletionRecord],
         end_to_end_cycles=e2e,
         engine=engine,
     )
+
+
+@dataclass
+class OverloadResult:
+    """Loss behavior of one policy under one overload shape."""
+
+    policy: str
+    shape: str
+    offered_segments: int
+    offered_bytes: int
+    accepted_segments: int
+    accepted_bytes: int
+    dropped_segments: int
+    dropped_bytes: int
+    pushed_out_segments: int
+    pushed_out_bytes: int
+    dequeued_segments: int
+    residual_segments: int
+    capacity_segments: int
+    elapsed_ps: int
+    engine: str = "fast"
+
+    @property
+    def drop_rate(self) -> float:
+        if self.offered_segments == 0:
+            return 0.0
+        return self.dropped_segments / self.offered_segments
+
+    def counters(self) -> Dict[str, int]:
+        """The drop/accept counters that must be byte-identical across
+        engines (everything except wall-clock, which is not simulated
+        state)."""
+        return {
+            "offered_segments": self.offered_segments,
+            "offered_bytes": self.offered_bytes,
+            "accepted_segments": self.accepted_segments,
+            "accepted_bytes": self.accepted_bytes,
+            "dropped_segments": self.dropped_segments,
+            "dropped_bytes": self.dropped_bytes,
+            "pushed_out_segments": self.pushed_out_segments,
+            "pushed_out_bytes": self.pushed_out_bytes,
+            "dequeued_segments": self.dequeued_segments,
+            "residual_segments": self.residual_segments,
+            "elapsed_ps": self.elapsed_ps,
+        }
+
+
+# ====================================================== workload plans
+
+@dataclass
+class Plan:
+    """One workload on one machine (see module docstring)."""
+
+    #: ``(port, kernel process name, factory)`` in attach order: spawn
+    #: order is resume order at equal times, and the kernel names appear
+    #: in checkpointed event schedules, so both are part of the
+    #: workload.
+    feeders: List[Tuple[int, str, FeederFactory]]
+    horizon_ps: int
+    #: The shared counters to the run's result, once the machine reached
+    #: the horizon; replays the completion records to the machine's
+    #: probe.
+    result: Callable[[Dict[str, int]], Any]
+    #: The shared counter store a fresh run starts from.
+    counters: Dict[str, int] = field(default_factory=dict)
+
+
+def machine_for(config: MmsConfig, engine: str, probe: Any = None) -> Any:
+    """The machine a plain run of ``engine`` executes on: the
+    command-stream machine for ``"fast"`` when it claims ``config``,
+    else the kernel-backed MMS on that engine's kernel."""
+    if engine == "fast":
+        from repro.engines import StreamMms, stream_supports
+        if stream_supports(config) is None:
+            return StreamMms(config, probe=probe)
+    return MMS(config, sim=make_simulator(engine), probe=probe)
+
+
+def _direct(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """The plain runs' ``wrap``: environment reads go straight through."""
+    return fn
+
+
+def attach(machine: Any, plan: Plan, counters: Dict[str, int]) -> None:
+    """Attach the plan's feeders to ``machine`` as raw generators --
+    no checkpoint machinery on the plain path."""
+    for port, name, factory in plan.feeders:
+        machine.add_feeder(port, factory(_direct, counters), name)
+
+
+def run_plan(machine: Any, plan: Plan) -> Any:
+    """Run ``plan`` on its fresh ``machine`` to the horizon and return
+    the result."""
+    counters = dict(plan.counters)
+    attach(machine, plan, counters)
+    machine.run(plan.horizon_ps)
+    return plan.result(counters)
+
+
+def _replay_to_probe(machine: Any, horizon_ps: int) -> None:
+    """Replay the completion records to the machine's probe, for
+    workloads whose result is read off counters, not records."""
+    if machine.probe is not None:
+        replay(machine.completion_records(horizon_ps), machine.probe)
+
+
+def load_plan(machine: Any, offered_gbps: float, num_volleys: int,
+              active_flows: int, warmup_volleys: int, burst_len: int,
+              burst_prob: float, seed: int, engine: str) -> Plan:
+    """Table 5 at one offered load (see
+    :func:`repro.core.mms.run_load`)."""
+    machine.prefill(range(active_flows),
+                    packets_per_flow=load_prefill_packets(active_flows))
+    period = load_volley_period_ps(offered_gbps)
+    horizon = load_horizon_ps(num_volleys, period)
+
+    def now() -> int:
+        return machine.now
+
+    def port_feeder(port: int, enqueue: bool, phase: int
+                    ) -> FeederFactory:
+        return lambda wrap, counters: load_feed_ops(
+            wrap(now), port, enqueue, phase, num_volleys, period,
+            active_flows, burst_len, burst_prob, seed)
+
+    def result(counters: Dict[str, int]) -> MmsLoadResult:
+        return assemble_load_result(
+            replay(machine.completion_records(horizon), machine.probe),
+            warmup_volleys, offered_gbps, engine)
+
+    return Plan([(port, f"port{port}", port_feeder(port, enqueue, phase))
+                 for port, (enqueue, phase) in enumerate(FOUR_PORTS)],
+                horizon, result)
+
+
+def saturation_plan(machine: Any, num_commands: int, active_flows: int,
+                    engine: str) -> Plan:
+    """The headline saturation experiment (see
+    :func:`repro.core.mms.run_saturation`)."""
+    per_port = num_commands // 4
+    machine.prefill(range(active_flows),
+                    packets_per_flow=saturation_prefill_packets(
+                        per_port, active_flows))
+
+    def port_feeder(enqueue: bool, phase: int) -> FeederFactory:
+        # pure feeders: nothing to wrap, no counters
+        return lambda wrap, counters: saturation_feed_ops(
+            enqueue, phase, per_port, active_flows)
+
+    def result(counters: Dict[str, int]) -> MmsLoadResult:
+        return assemble_saturation_result(
+            replay(machine.completion_records(SATURATION_HORIZON_PS),
+                   machine.probe),
+            machine.commands_executed, machine.clock.period_ps, engine)
+
+    return Plan([(port, f"port{port}", port_feeder(enqueue, phase))
+                 for port, (enqueue, phase) in enumerate(FOUR_PORTS)],
+                SATURATION_HORIZON_PS, result)
+
+
+def _drain(machine: Any, port: int, active_flows: int, period_ps: int
+           ) -> Tuple[int, str, FeederFactory]:
+    """The overload egress port as a plan feeder (see
+    :func:`overload_drain_ops`)."""
+    return port, "drain", lambda wrap, counters: overload_drain_ops(
+        wrap(machine.pqm.queued_packets), active_flows, period_ps, counters)
+
+
+def overload_plan(machine: Any, shape: str, num_arrivals: int,
+                  active_flows: int, engine: str) -> Plan:
+    """One overload experiment on a machine built with its policy (see
+    :func:`repro.policies.harness.run_overload`): three shaped enqueue
+    ports offer ``num_arrivals`` segments while one port drains.
+
+    Raises :class:`ValueError` on arguments outside the family, for
+    every driver alike."""
+    if shape not in SHAPES:
+        raise ValueError(f"unknown shape {shape!r} (choose from {SHAPES})")
+    if num_arrivals < 1:
+        raise ValueError(f"num_arrivals must be >= 1, got {num_arrivals}")
+    config = machine.config
+    if not 1 <= active_flows <= config.num_flows:
+        raise ValueError(
+            f"active_flows must be in [1, {config.num_flows}], "
+            f"got {active_flows}")
+    drain_period, enq_period = overload_pacing_ps(machine.clock)
+    per_port = num_arrivals // 3
+    horizon = overload_horizon_ps(num_arrivals, enq_period,
+                                  config.num_segments, drain_period)
+
+    def port_feeder(port: int) -> FeederFactory:
+        return lambda wrap, counters: overload_feed_ops(
+            shape, port, per_port, active_flows, enq_period, counters)
+
+    def result(counters: Dict[str, int]) -> OverloadResult:
+        """The typed loss counters: the policy's books, the drain's
+        dequeue count and the final clock."""
+        _replay_to_probe(machine, horizon)
+        policy = machine.policy
+        stats = policy.stats
+        return OverloadResult(
+            policy=config.policy.name,
+            shape=shape,
+            offered_segments=stats.offered_segments,
+            offered_bytes=stats.offered_bytes,
+            accepted_segments=stats.accepted_segments,
+            accepted_bytes=stats.accepted_bytes,
+            dropped_segments=stats.dropped_segments,
+            dropped_bytes=stats.dropped_bytes,
+            pushed_out_segments=stats.pushed_out_segments,
+            pushed_out_bytes=stats.pushed_out_bytes,
+            dequeued_segments=counters["dequeued"],
+            residual_segments=policy.total_segments,
+            capacity_segments=config.num_segments,
+            elapsed_ps=machine.now,
+            engine=engine,
+        )
+
+    feeders = [(port, f"enq{port}", port_feeder(port)) for port in range(3)]
+    feeders.append(_drain(machine, 3, active_flows, drain_period))
+    return Plan(feeders, horizon, result, {"dequeued": 0})
+
+
+def _script_ops(ops: Sequence[FeederOp], counters: Any,
+                mark_done: bool) -> Iterator[FeederOp]:
+    """A script as a feeder, with the overload feeders' trailing
+    done-handshake when requested."""
+    yield from ops
+    if mark_done:
+        counters["feeders_done"] = counters.get("feeders_done", 0) + 1
+
+
+def script_plan(machine: Any, scripts: Sequence[Sequence[FeederOp]],
+                horizon_ps: int, mark_done: bool = False,
+                drain: bool = False, drain_period_ps: int = 0,
+                drain_active_flows: int = 0) -> Plan:
+    """A free-form run: one micro-op list per port, optionally followed
+    by an overload-style drain port (whose termination handshake needs
+    three ``mark_done`` scripts).  The result is the executed count,
+    the final clock and the shared counters."""
+    def port_feeder(ops: Sequence[FeederOp]) -> FeederFactory:
+        return lambda wrap, counters: _script_ops(ops, counters, mark_done)
+
+    def result(counters: Dict[str, int]) -> Dict[str, Any]:
+        _replay_to_probe(machine, horizon_ps)
+        return {"commands_executed": machine.commands_executed,
+                "elapsed_ps": machine.now, "counters": dict(counters)}
+
+    feeders = [(port, f"port{port}", port_feeder(ops))
+               for port, ops in enumerate(scripts)]
+    if not drain:
+        return Plan(feeders, horizon_ps, result)
+    feeders.append(_drain(machine, len(scripts), drain_active_flows,
+                          drain_period_ps))
+    return Plan(feeders, horizon_ps, result, {"dequeued": 0})

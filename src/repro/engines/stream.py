@@ -268,10 +268,12 @@ class StreamMms:
 
     # --------------------------------------------------------- wiring
 
-    def add_feeder(self, port: int, gen: Feeder) -> None:
+    def add_feeder(self, port: int, gen: Feeder, name: str = "") -> None:
         """Attach a feeder generator to ``port`` and schedule its first
         step now (the kernel's ``spawn`` contract: spawn order is resume
-        order at equal times)."""
+        order at equal times).  ``name`` is the kernel process name of
+        :meth:`repro.core.mms.MMS.add_feeder`; the machine has no
+        processes to name."""
         if not 0 <= port < self._num_ports:
             raise ValueError(f"port {port} out of range "
                              f"[0, {self._num_ports})")

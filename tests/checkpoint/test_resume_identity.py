@@ -35,8 +35,8 @@ from repro.checkpoint import (
     KernelRun,
     StreamRun,
     functional_digest,
-    kernel_runs,
     overload_params,
+    runs,
     script_params,
 )
 from repro.core.commands import CommandType
@@ -71,8 +71,8 @@ LATENCY_POLICIES = (
 def _attach(run: StreamRun) -> Capture:
     """Hook one engine segment the way the engine fuzz does."""
     cap = Capture()
-    _capture_mem(cap, run.eng.pqm.mem)
-    eng = run.eng
+    _capture_mem(cap, run.machine.pqm.mem)
+    eng = run.machine
     eng.trace_hook = lambda cmd, result, trace: cap.cmds.append(
         (cmd[0].value, cmd[1], repr(result), len(trace), eng.now))
     return cap
@@ -87,10 +87,10 @@ def _finalize(run: StreamRun, caps) -> Capture:
     cap = Capture()
     cap.traces = [t for c in caps for t in c.traces]
     cap.cmds = [c_ for c in caps for c_ in c.cmds]
-    cap.records = run.eng.completion_records(run.horizon)
+    cap.records = run.machine.completion_records(run.horizon)
     cap.telemetry = json.dumps(run.probe.snapshot().to_dict())
-    cap.snapshot_final(run.eng.pqm, run.eng.policy, run.eng.now,
-                       run.eng.commands_executed)
+    eng = run.machine
+    cap.snapshot_final(eng.pqm, eng.policy, eng.now, eng.commands_executed)
     return cap
 
 
@@ -110,7 +110,7 @@ def split_stream_run(params, split_points):
         run.run(at)
         blob = run.checkpoint().to_json()
         resumed = StreamRun.resume(Checkpoint.from_json(blob))
-        assert _dmc_state(resumed.eng) == _dmc_state(run.eng)
+        assert _dmc_state(resumed.machine) == _dmc_state(run.machine)
         run = resumed
         caps.append(_attach(run))
     return run, _finalize(run, caps)
@@ -163,7 +163,7 @@ def _dmc_split_instants(params, handoffs):
     over a non-empty queue.  Found by stepping one run from 1 ps before
     each access-cycle instant to the next."""
     run = StreamRun.fresh("script", params)
-    eng = run.eng
+    eng = run.machine
     tie = issue = None
     at = ACCESS_CYCLE_PS - 1
     while tie is None or issue is None:
@@ -197,7 +197,7 @@ def test_one_bank_splits_at_dmc_instants_identical(overlap_data):
     for at in (tie, tie - 1, issue, issue - 1):
         run, split = split_stream_run(params, [at])
         assert_identical(unbroken, split)
-        assert _dmc_state(run.eng) == _dmc_state(whole.eng), at
+        assert _dmc_state(run.machine) == _dmc_state(whole.machine), at
 
 
 def test_schema_1_checkpoint_is_refused():
@@ -220,7 +220,7 @@ def _log_kernel_records(monkeypatch) -> list:
     """Chain a :class:`RecordLog` behind every KernelRun's probe; the
     returned list collects one log per run built."""
     logs = []
-    build = kernel_runs._build_probes
+    build = runs._build_probes
 
     def build_logged(params):
         telemetry, tracer, probe = build(params)
@@ -228,7 +228,7 @@ def _log_kernel_records(monkeypatch) -> list:
         logs.append(log)
         return telemetry, tracer, ProbeChain([probe, log])
 
-    monkeypatch.setattr(kernel_runs, "_build_probes", build_logged)
+    monkeypatch.setattr(runs, "_build_probes", build_logged)
     return logs
 
 
@@ -240,7 +240,7 @@ def test_mixed_scripts_kernel_split_identical(seed, monkeypatch):
                            telemetry=TELE_SPEC)
     whole = KernelRun.fresh("script", params)
     base = whole.finish()
-    base_digest = functional_digest(whole.mms, whole.store)
+    base_digest = functional_digest(whole.machine, whole.store)
     base_tel = json.dumps(whole.telemetry.snapshot().to_dict())
 
     rng = random.Random(seed + 31)
@@ -250,7 +250,7 @@ def test_mixed_scripts_kernel_split_identical(seed, monkeypatch):
     blob = run.checkpoint().to_json()
     resumed = KernelRun.resume(Checkpoint.from_json(blob))
     assert resumed.finish() == base
-    assert functional_digest(resumed.mms, resumed.store) == base_digest
+    assert functional_digest(resumed.machine, resumed.store) == base_digest
     assert json.dumps(resumed.telemetry.snapshot().to_dict()) == base_tel
     # full completion records: split == unbroken == the stream engine
     assert logs[-1].records == logs[0].records
@@ -276,11 +276,7 @@ def _overload_state(run) -> tuple:
     """Everything a latency scenario observes: the typed result, the
     policy books (DropRecords included) and the telemetry snapshot."""
     result = run.finish()
-    if isinstance(run, StreamRun):
-        policy = run.eng.policy
-    else:
-        policy = run.mms.policy
-    return (result, policy.state_dict(),
+    return (result, run.machine.policy.state_dict(),
             json.dumps(run.probe.snapshot().to_dict()))
 
 
@@ -374,5 +370,5 @@ def test_drained_scripts_stream_split_identical(seed):
     assert_identical(base, _finalize(run, caps))
     assert dict(run.store) == base_counters
     assert base_counters["dequeued"] > 0
-    assert run.eng.policy.stats.dropped_segments > 0, \
+    assert run.machine.policy.stats.dropped_segments > 0, \
         "fuzz case never exercised the policy"

@@ -14,6 +14,7 @@ from repro.checkpoint import (
     CheckpointError,
     KernelRun,
     StreamRun,
+    config_from_dict,
     overload_params,
     resume_run,
     run_with_checkpoints,
@@ -23,6 +24,7 @@ from repro.checkpoint import (
 from repro.core.mms import MmsConfig
 from repro.engines.stream import StreamMms
 from repro.policies import PolicySpec
+from repro.policies import harness
 from repro.policies.harness import OVERLOAD_MMS_CFG, run_overload
 
 
@@ -98,15 +100,23 @@ def test_resume_run_dispatches_by_engine():
 
 # ---------------------------------------------- structural absence
 
-def test_plain_harness_path_carries_no_checkpoint_machinery():
+def test_plain_harness_path_carries_no_checkpoint_machinery(monkeypatch):
     """When checkpointing is off, it is *structurally* absent: the
-    plain harnesses hand the engine raw generators (no tape wrappers,
-    no counter views), so the hot path pays nothing."""
-    from repro.core.workloads import overload_feed_ops
-    cfg = dataclasses.replace(OVERLOAD_MMS_CFG, policy=PolicySpec("red"),
-                              policy_seed=11)
-    eng = StreamMms(cfg)
-    eng.add_feeder(0, overload_feed_ops("burst", 0, 20, 8, 1000, {}))
+    plain ``run_overload`` path hands the engine raw generators (no
+    tape wrappers, no counter views), so the hot path pays nothing."""
+    machines = []
+    build = harness.machine_for
+
+    def capture(*args, **kwargs):
+        machines.append(build(*args, **kwargs))
+        return machines[-1]
+
+    monkeypatch.setattr(harness, "machine_for", capture)
+    run_overload(PolicySpec("red"), "burst", num_arrivals=240,
+                 active_flows=32, seed=11, engine="fast")
+    (eng,) = machines
+    assert isinstance(eng, StreamMms)
+    assert len(eng._feeders) == 4
     assert all(isinstance(f, types.GeneratorType) for f in eng._feeders)
     # and the snapshotter refuses such an engine rather than silently
     # producing a checkpoint that cannot resume
@@ -116,8 +126,8 @@ def test_plain_harness_path_carries_no_checkpoint_machinery():
 
 @pytest.mark.parametrize("module_name", [
     "repro.engines.stream",
-    "repro.engines.harnesses",
     "repro.core.workloads",
+    "repro.core.mms",
     "repro.policies.harness",
 ])
 def test_plain_path_sources_never_import_checkpoint(module_name):
@@ -157,6 +167,45 @@ def test_kernel_resume_refuses_tampered_anchor():
     doc["state"]["fingerprint"]["digest"] = "0" * 64
     with pytest.raises(CheckpointError, match="did not re-anchor"):
         KernelRun.resume(Checkpoint.from_dict(doc))
+
+
+#: Overload arguments ``run_overload`` refuses, with the message it
+#: refuses them with.
+BAD_OVERLOAD_ARGS = [
+    ({"shape": "bogus"}, "unknown shape"),
+    ({"num_arrivals": 0}, "num_arrivals must be >= 1"),
+    ({"active_flows": 0}, "active_flows must be in"),
+]
+
+
+@pytest.mark.parametrize("driver, label", [(StreamRun, "fast"),
+                                           (KernelRun, "reference")])
+@pytest.mark.parametrize("bad, message", BAD_OVERLOAD_ARGS,
+                         ids=["shape", "num_arrivals", "active_flows"])
+def test_overload_drivers_validate_like_run_overload(driver, label, bad,
+                                                     message):
+    """The checkpoint drivers refuse what ``run_overload`` refuses, on a
+    fresh run and on a resumed checkpoint (a file from disk is outside
+    input) alike."""
+    args = {"shape": "burst", "num_arrivals": 240, "active_flows": 32,
+            **bad}
+    with pytest.raises(ValueError, match=message):
+        run_overload(PolicySpec("red"), args["shape"],
+                     num_arrivals=args["num_arrivals"],
+                     active_flows=args["active_flows"], seed=11,
+                     engine=label)
+    cfg = config_from_dict(_overload(label)["config"])
+    params = overload_params(cfg, args.pop("shape"), engine_label=label,
+                             **args)
+    with pytest.raises(ValueError, match=message):
+        driver.fresh("overload", params)
+
+    good = driver.fresh("overload", _overload(label))
+    good.run(good.horizon // 4)
+    doc = good.checkpoint().to_dict()
+    doc["params"].update(bad)
+    with pytest.raises(ValueError, match=message):
+        resume_run(Checkpoint.from_dict(doc))
 
 
 def test_script_params_drain_needs_three_mark_done_scripts():

@@ -110,7 +110,7 @@ def _exercised_policy(name):
         "overload",
         overload_params(cfg, "burst", num_arrivals=180, active_flows=16))
     run.run(run.horizon // 2)
-    return run.eng.policy, spec, cfg
+    return run.machine.policy, spec, cfg
 
 
 @pytest.mark.parametrize("name", ["taildrop", "red", "dynamic-threshold",

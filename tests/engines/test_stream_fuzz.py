@@ -2,7 +2,7 @@
 
 Random per-port scripts (mixed MMS operations, random sleeps, random
 seeds) are replayed twice -- through the reference heapq kernel (the full
-``MMS`` with ``drive_port`` adapters) and through the command-stream
+``MMS`` with its ``add_feeder`` adapters) and through the command-stream
 machine -- and everything observable must be byte-identical:
 
 * the ordered per-operation pointer-access traces (``AccessRecord``
@@ -38,7 +38,7 @@ import pytest
 
 from repro.core.commands import DATA_WRITE_COMMANDS, CommandType
 from repro.core.mms import MMS, MmsConfig
-from repro.core.workloads import drive_port, overload_drain_ops, replay
+from repro.core.workloads import overload_drain_ops, replay
 from repro.engines import StreamMms, stream_supports
 from repro.mem.timing import DdrTiming
 from repro.policies import PolicySpec
@@ -144,11 +144,11 @@ def run_reference(config, scripts, drain_counters=None,
     mms.dqm._dispatch = dispatch
 
     for port, script in enumerate(scripts):
-        sim.spawn(drive_port(mms, port, iter(script)), name=f"fz{port}")
+        mms.add_feeder(port, iter(script), f"fz{port}")
     if drain_counters is not None:
-        sim.spawn(drive_port(mms, 3, overload_drain_ops(
+        mms.add_feeder(3, overload_drain_ops(
             mms.pqm.queued_packets, active_flows, drain_period,
-            drain_counters)), name="drain")
+            drain_counters), "drain")
     sim.run(until_ps=HORIZON)
     replay(mms.dqm.records, mms.probe)
     # the probe sees every completion record, in delivery order
